@@ -1,46 +1,35 @@
 #include "obs/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace lrd::obs::json {
 
 Value Value::boolean(bool b) {
-  Value v;
-  v.type_ = Type::kBool;
+  Value v(Type::kBool);
   v.bool_ = b;
   return v;
 }
 
 Value Value::number(double n) {
-  Value v;
-  v.type_ = Type::kNumber;
+  Value v(Type::kNumber);
   v.number_ = n;
   return v;
 }
 
 Value Value::string(std::string s) {
-  Value v;
-  v.type_ = Type::kString;
+  Value v(Type::kString);
   v.string_ = std::move(s);
   return v;
 }
 
-Value Value::array() {
-  Value v;
-  v.type_ = Type::kArray;
-  return v;
-}
+Value Value::array() { return Value(Type::kArray); }
 
-Value Value::object() {
-  Value v;
-  v.type_ = Type::kObject;
-  return v;
-}
+Value Value::object() { return Value(Type::kObject); }
 
 const Value* Value::find(std::string_view key) const noexcept {
   for (const auto& [name, value] : members_)
@@ -75,232 +64,256 @@ void Value::set(std::string key, Value v) {
 
 namespace {
 
-/// Strict recursive-descent parser. Tracks the current line for the
-/// kParse diagnostic; depth is capped so a pathological input cannot
-/// overflow the stack.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+constexpr std::size_t kMaxDepth = 64;
 
-  lrd::Expected<Value> run() {
-    Value v;
-    if (!parse_value(v, 0)) return take_error();
-    skip_whitespace();
-    if (pos_ != text_.size()) return fail("trailing content after the JSON value");
-    return v;
-  }
+/// The characters a number token runs over: [0-9.eE+-].
+constexpr bool is_number_char(char c) noexcept {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+}
 
- private:
-  static constexpr std::size_t kMaxDepth = 64;
-
-  bool parse_value(Value& out, std::size_t depth) {
-    if (depth > kMaxDepth) return set_error("nesting deeper than 64 levels");
-    skip_whitespace();
-    if (pos_ >= text_.size()) return set_error("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return parse_object(out, depth);
-      case '[': return parse_array(out, depth);
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value::string(std::move(s));
-        return true;
+/// Reads one value into `*out`, or only checks it when `out` is null.
+/// Recursion is bounded by the reader's depth cap.
+bool read_value(Reader& r, Value* out) {
+  std::string s;
+  double d = 0.0;
+  bool b = false;
+  switch (r.peek()) {
+    case Value::Type::kObject: {
+      if (out) *out = Value::object();
+      std::string_view key;
+      for (r.begin_object(); r.next_key(key);) {  // errors stick, ending the loop
+        if (out) s.assign(key);  // the view dies with the next reader call
+        Value member;
+        read_value(r, out ? &member : nullptr);
+        if (out) out->set(std::move(s), std::move(member));
       }
-      case 't':
-        if (!literal("true")) return false;
-        out = Value::boolean(true);
-        return true;
-      case 'f':
-        if (!literal("false")) return false;
-        out = Value::boolean(false);
-        return true;
-      case 'n':
-        if (!literal("null")) return false;
-        out = Value::null();
-        return true;
-      default: return parse_number(out);
+      return r.ok();
     }
-  }
-
-  bool parse_object(Value& out, std::size_t depth) {
-    ++pos_;  // '{'
-    out = Value::object();
-    skip_whitespace();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_whitespace();
-      if (peek() != '"') return set_error("expected a string object key");
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_whitespace();
-      if (peek() != ':') return set_error("expected ':' after object key");
-      ++pos_;
-      Value member;
-      if (!parse_value(member, depth + 1)) return false;
-      out.set(std::move(key), std::move(member));
-      skip_whitespace();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+    case Value::Type::kArray: {
+      if (out) *out = Value::array();
+      for (r.begin_array(); r.next_item();) {
+        Value item;
+        read_value(r, out ? &item : nullptr);
+        if (out) out->push_back(std::move(item));
       }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return set_error("expected ',' or '}' in object");
+      return r.ok();
     }
+    case Value::Type::kString:
+      if (r.read_string(s) && out) *out = Value::string(std::move(s));
+      return r.ok();
+    case Value::Type::kBool:
+      if (r.read_bool(b) && out) *out = Value::boolean(b);
+      return r.ok();
+    case Value::Type::kNumber:
+      if (r.read_number(d) && out) *out = Value::number(d);
+      return r.ok();
+    case Value::Type::kNull: break;
   }
-
-  bool parse_array(Value& out, std::size_t depth) {
-    ++pos_;  // '['
-    out = Value::array();
-    skip_whitespace();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      Value item;
-      if (!parse_value(item, depth + 1)) return false;
-      out.push_back(std::move(item));
-      skip_whitespace();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return set_error("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_];
-      if (ch == '"') {
-        ++pos_;
-        return true;
-      }
-      if (ch == '\n') return set_error("unterminated string literal");
-      if (ch == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return set_error("unterminated escape sequence");
-        switch (text_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return set_error("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 1; i <= 4; ++i) {
-              const char hex = text_[pos_ + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (hex >= '0' && hex <= '9') code += static_cast<unsigned>(hex - '0');
-              else if (hex >= 'a' && hex <= 'f') code += static_cast<unsigned>(hex - 'a') + 10;
-              else if (hex >= 'A' && hex <= 'F') code += static_cast<unsigned>(hex - 'A') + 10;
-              else return set_error("invalid \\u escape");
-            }
-            pos_ += 4;
-            // Encode the code point as UTF-8 (surrogates pass through as
-            // three-byte sequences; the artifacts never contain them).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: return set_error("unknown escape sequence");
-        }
-        ++pos_;
-        continue;
-      }
-      out += ch;
-      ++pos_;
-    }
-    return set_error("unterminated string literal");
-  }
-
-  bool parse_number(Value& out) {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() && (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                                   text_[pos_] == '.' || text_[pos_] == 'e' ||
-                                   text_[pos_] == 'E' || text_[pos_] == '+' ||
-                                   text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return set_error("unexpected character");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE || !std::isfinite(v))
-      return set_error("malformed number '" + token + "'");
-    out = Value::number(v);
-    return true;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0)
-      return set_error(std::string("expected '") + word + "'");
-    pos_ += n;
-    return true;
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_];
-      if (ch == '\n') ++line_;
-      if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() const noexcept { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  bool set_error(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-    return false;
-  }
-
-  lrd::Expected<Value> fail(std::string message) {
-    set_error(std::move(message));
-    return take_error();
-  }
-
-  lrd::Expected<Value> take_error() {
-    lrd::Diagnostics d = lrd::make_diagnostics(lrd::ErrorCategory::kParse, "obs.json",
-                                               "input is well-formed JSON", error_);
-    d.line = static_cast<long>(line_);
-    return d;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::string error_;
-};
+  return r.read_null();
+}
 
 }  // namespace
 
-lrd::Expected<Value> parse(std::string_view text) { return Parser(text).run(); }
+bool Reader::begin_value() {
+  if (!ok()) return false;
+  if (depth_ > kMaxDepth) return set_error("nesting deeper than 64 levels");
+  skip_whitespace();
+  return pos_ < text_.size() || set_error("unexpected end of input");
+}
+
+Value::Type Reader::peek() {
+  if (!begin_value()) return Value::Type::kNull;
+  switch (text_[pos_]) {
+    case '{': return Value::Type::kObject;
+    case '[': return Value::Type::kArray;
+    case '"': return Value::Type::kString;
+    case 't':
+    case 'f': return Value::Type::kBool;
+    case 'n': return Value::Type::kNull;
+    default: return Value::Type::kNumber;
+  }
+}
+
+bool Reader::read_null() { return begin_value() && literal("null"); }
+
+bool Reader::read_bool(bool& out) {
+  if (!begin_value()) return false;
+  out = text_[pos_] == 't';
+  return literal(out ? "true" : "false");
+}
+
+bool Reader::read_number(double& out) {
+  if (!begin_value()) return false;
+  const std::size_t start = pos_;
+  if (text_[pos_] == '-') ++pos_;
+  while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+  if (pos_ == start) return set_error("unexpected character");
+  const std::string_view token = text_.substr(start, pos_ - start);
+  // from_chars parses the token in place but differs from strtod twice:
+  // strtod takes one leading '+', and answers ERANGE for an inexact result
+  // at or below the smallest normal, where from_chars returns it. That
+  // range never occurs in practice, so strtod decides it on a copy.
+  const bool plus = token[0] == '+' && (token.size() == 1 || token[1] != '-');
+  const auto [end, ec] = std::from_chars(token.data() + plus, token.data() + token.size(), out);
+  bool valid = ec == std::errc() && end == token.data() + token.size();
+  if (valid && out != 0.0 && std::fabs(out) <= std::numeric_limits<double>::min()) {
+    const std::string copy(token);
+    errno = 0;
+    out = std::strtod(copy.c_str(), nullptr);
+    valid = errno != ERANGE;
+  }
+  return valid || set_error("malformed number '" + std::string(token) + "'");
+}
+
+bool Reader::read_string(std::string& out) {
+  std::string_view s;
+  if (!begin_value() || !lex_string(s, out)) return false;
+  if (s.data() != out.data()) out.assign(s);
+  return true;
+}
+
+bool Reader::skip_value() { return read_value(*this, nullptr); }
+
+bool Reader::enter(char open) {
+  if (!begin_value()) return false;
+  if (text_[pos_] != open) return set_error(std::string("expected '") + open + "'");
+  ++pos_;
+  ++depth_;
+  first_ = true;
+  return true;
+}
+
+bool Reader::next_in_container(char close, const char* expected) {
+  if (!ok()) return false;
+  skip_whitespace();
+  if (peek_char() == close) {
+    ++pos_;
+    --depth_;
+    first_ = false;
+    return false;
+  }
+  if (std::exchange(first_, false)) return true;
+  if (peek_char() != ',') return set_error(expected);
+  ++pos_;
+  return true;
+}
+
+bool Reader::next_key(std::string_view& key) {
+  if (!next_in_container('}', "expected ',' or '}' in object")) return false;
+  skip_whitespace();
+  if (peek_char() != '"') return set_error("expected a string object key");
+  if (!lex_string(key, key_scratch_)) return false;
+  skip_whitespace();
+  if (peek_char() != ':') return set_error("expected ':' after object key");
+  ++pos_;
+  return true;
+}
+
+bool Reader::next_item() { return next_in_container(']', "expected ',' or ']' in array"); }
+
+bool Reader::finish() {
+  if (!ok()) return false;
+  skip_whitespace();
+  return pos_ == text_.size() || set_error("trailing content after the JSON value");
+}
+
+lrd::Diagnostics Reader::error() const {
+  lrd::Diagnostics d = lrd::make_diagnostics(lrd::ErrorCategory::kParse, "obs.json",
+                                             "input is well-formed JSON", error_);
+  d.line = static_cast<long>(line_);
+  return d;
+}
+
+/// Lexes the string literal at the cursor. Without escapes `out` views
+/// the input; from the first escape on, the text is decoded in `scratch`.
+bool Reader::lex_string(std::string_view& out, std::string& scratch) {
+  const std::size_t start = ++pos_;  // past the opening quote
+  bool decoded = false;
+  while (pos_ < text_.size()) {
+    const char ch = text_[pos_];
+    if (ch == '"') {
+      out = decoded ? std::string_view(scratch) : text_.substr(start, pos_ - start);
+      ++pos_;
+      return true;
+    }
+    if (ch == '\n') return set_error("unterminated string literal");
+    if (ch != '\\') {
+      if (decoded) scratch += ch;
+      ++pos_;
+      continue;
+    }
+    if (!std::exchange(decoded, true)) scratch.assign(text_.substr(start, pos_ - start));
+    ++pos_;
+    if (pos_ >= text_.size()) return set_error("unterminated escape sequence");
+    switch (text_[pos_]) {
+      case '"': scratch += '"'; break;
+      case '\\': scratch += '\\'; break;
+      case '/': scratch += '/'; break;
+      case 'b': scratch += '\b'; break;
+      case 'f': scratch += '\f'; break;
+      case 'n': scratch += '\n'; break;
+      case 'r': scratch += '\r'; break;
+      case 't': scratch += '\t'; break;
+      case 'u': {
+        if (pos_ + 4 >= text_.size()) return set_error("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 1; i <= 4; ++i) {
+          const char hex = text_[pos_ + static_cast<std::size_t>(i)];
+          code <<= 4;
+          if (hex >= '0' && hex <= '9') code += static_cast<unsigned>(hex - '0');
+          else if (hex >= 'a' && hex <= 'f') code += static_cast<unsigned>(hex - 'a') + 10;
+          else if (hex >= 'A' && hex <= 'F') code += static_cast<unsigned>(hex - 'A') + 10;
+          else return set_error("invalid \\u escape");
+        }
+        pos_ += 4;
+        // Encode the code point as UTF-8 (surrogates pass through as
+        // three-byte sequences; the artifacts never contain them).
+        if (code < 0x80) {
+          scratch += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch += static_cast<char>(0xC0 | (code >> 6));
+          scratch += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          scratch += static_cast<char>(0xE0 | (code >> 12));
+          scratch += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          scratch += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default: return set_error("unknown escape sequence");
+    }
+    ++pos_;
+  }
+  return set_error("unterminated string literal");
+}
+
+bool Reader::literal(std::string_view word) {
+  if (text_.compare(pos_, word.size(), word) != 0)
+    return set_error("expected '" + std::string(word) + "'");
+  pos_ += word.size();
+  return true;
+}
+
+void Reader::skip_whitespace() {
+  while (pos_ < text_.size()) {
+    const char ch = text_[pos_];
+    if (ch == '\n') ++line_;
+    if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r') break;
+    ++pos_;
+  }
+}
+
+bool Reader::set_error(std::string message) {
+  if (error_.empty()) error_ = std::move(message);
+  return false;
+}
+
+lrd::Expected<Value> parse(std::string_view text) {
+  Reader r(text);
+  Value v;
+  if (!read_value(r, &v) || !r.finish()) return r.error();
+  return v;
+}
 
 lrd::Expected<Value> parse_file(const std::string& path) {
   std::FILE* in = std::fopen(path.c_str(), "rb");

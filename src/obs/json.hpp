@@ -2,11 +2,11 @@
 //
 // The observability tools emit JSON (manifests, metrics snapshots, Chrome
 // traces, bench history lines) and — starting with the report/regression
-// layer — also *consume* it. This is the one parser they share: a strict
-// recursive-descent reader into a small Value tree. Malformed input comes
-// back as a kParse diagnostic carrying the 1-based line number, matching
-// the RateTrace::try_load contract, so `lrdq_report broken.json` points at
-// the offending line instead of aborting.
+// layer — also *consume* it. Reader, a strict pull reader, is the one JSON
+// grammar: parse() builds a small Value tree on it, and the serve protocol
+// reads query lines off it with no tree. Malformed input comes back as a
+// kParse diagnostic carrying the 1-based line number (the RateTrace::try_load
+// contract), so `lrdq_report broken.json` points at the offending line.
 //
 // Scope is deliberately narrow: UTF-8 pass-through (no surrogate-pair
 // decoding beyond \uXXXX -> UTF-8), doubles only (the artifacts never need
@@ -29,7 +29,6 @@ class Value {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Value() = default;
-  static Value null() { return Value(); }
   static Value boolean(bool b);
   static Value number(double v);
   static Value string(std::string s);
@@ -76,12 +75,65 @@ class Value {
   void set(std::string key, Value v);
 
  private:
+  explicit Value(Type type) : type_(type) {}
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
   std::string string_;
   std::vector<Value> items_;
   std::vector<std::pair<std::string, Value>> members_;
+};
+
+/// Pull reader: a cursor over one JSON document. peek() the type of the
+/// next value, then consume it with the matching read_*, skip_value(), or
+/// begin_object()/begin_array() and next_key()/next_item() until they
+/// return false at the closing bracket. The first error sticks: every
+/// later call returns false, and error() is the kParse diagnostic parse()
+/// gives (same message, same line). Nesting is capped at 64 levels.
+class Reader {
+ public:
+  explicit Reader(std::string_view text) noexcept : text_(text) {}
+
+  /// kNumber for any character that starts no other value (read_number()
+  /// then rejects it); kNull on error.
+  Value::Type peek();
+  bool read_null();
+  bool read_bool(bool& out);
+  /// Exactly the verdict and bits of C strtod on the token: a leading '+'
+  /// is accepted, overflow and inexact subnormal results are rejected.
+  bool read_number(double& out);
+  bool read_string(std::string& out);
+  bool skip_value();
+
+  bool begin_object() { return enter('{'); }
+  bool begin_array() { return enter('['); }
+  /// `key` is decoded and valid until the next call.
+  bool next_key(std::string_view& key);
+  bool next_item();
+
+  /// True when the document was well-formed and only whitespace follows.
+  bool finish();
+  bool ok() const noexcept { return error_.empty(); }
+  lrd::Diagnostics error() const;
+
+ private:
+  bool begin_value();
+  bool enter(char open);
+  bool next_in_container(char close, const char* expected);
+  bool lex_string(std::string_view& out, std::string& scratch);
+  bool literal(std::string_view word);
+  void skip_whitespace();
+  char peek_char() const noexcept { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+  bool set_error(std::string message);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t line_ = 1;
+  std::size_t depth_ = 0;  ///< Open containers around the cursor.
+  bool first_ = false;     ///< Just entered a container: no ',' expected.
+  std::string key_scratch_;
+  std::string error_;
 };
 
 /// Parses one complete JSON document (trailing whitespace allowed,

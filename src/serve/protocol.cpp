@@ -11,6 +11,7 @@ namespace lrd::serve {
 namespace {
 
 namespace json = lrd::obs::json;
+using Type = json::Value::Type;
 
 /// Response numbers are emitted with %.17g so every finite double
 /// round-trips exactly — the byte-identical-to-lrdq_solve contract is
@@ -29,101 +30,128 @@ lrd::Diagnostics query_error(std::string message) {
                                "query is a JSON object of known keys", std::move(message));
 }
 
-/// Numbers that must be non-negative integers (max_bins, deadline_ms).
-bool to_size(const json::Value& v, std::size_t& out) {
-  if (!v.is_number()) return false;
-  const double d = v.as_number();
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) return false;
-  out = static_cast<std::size_t>(d);
-  return true;
-}
-
-bool to_number_list(const json::Value& v, std::vector<double>& out) {
-  if (!v.is_array()) return false;
-  out.clear();
-  out.reserve(v.items().size());
-  for (const json::Value& item : v.items()) {
-    if (!item.is_number()) return false;
-    out.push_back(item.as_number());
-  }
-  return true;
-}
-
 }  // namespace
 
 lrd::Expected<Query> parse_query(std::string_view line) {
-  auto parsed = json::parse(line);
-  if (!parsed) {
-    lrd::Diagnostics d = parsed.diagnostics();
-    d.component = "serve.protocol";
-    return d;
-  }
-  const json::Value& v = parsed.value();
-  if (!v.is_object()) return query_error("query line is not a JSON object");
+  json::Reader r(line);
+  // Members are read straight into the Query. A type error does not stop
+  // the read: the first is kept and its value skipped, so a line that is
+  // also malformed still gets the kParse verdict.
+  std::string invalid;
+  const auto fail = [&](std::string message) {
+    if (invalid.empty()) invalid = std::move(message);
+  };
+  const auto expect = [&](Type type, const char* message) {
+    if (r.peek() == type) return true;
+    fail(message);
+    r.skip_value();
+    return false;
+  };
+  const auto number = [&](double& out, const char* message) {
+    return expect(Type::kNumber, message) && r.read_number(out);
+  };
+  const auto number_list = [&](std::vector<double>& out, const char* message) {
+    if (!expect(Type::kArray, message)) return;
+    out.clear();
+    for (r.begin_array(); r.next_item();) {
+      double d = 0.0;
+      if (number(d, message)) out.push_back(d);
+    }
+  };
+  const auto size = [&](std::size_t& out, const char* message) {
+    double v = 0.0;
+    if (!number(v, message)) return;
+    if (v < 0.0 || v >= 0x1p64 || v != static_cast<double>(static_cast<std::size_t>(v)))
+      fail(message);
+    else
+      out = static_cast<std::size_t>(v);
+  };
 
   Query q;
-  for (const auto& [key, value] : v.members()) {
+  std::string_view key;
+  std::string s;
+  double d = 0.0;
+  const bool object = expect(Type::kObject, "query line is not a JSON object") && r.begin_object();
+  while (object && r.next_key(key)) {
     if (key == "id") {
-      if (value.is_string()) q.id = value.as_string();
-      else if (value.is_number()) q.id = json::number_text(value.as_number());
-      else if (!value.is_null()) return query_error("\"id\" must be a string or number");
+      const Type t = r.peek();
+      if (t == Type::kString) r.read_string(q.id);
+      else if (t == Type::kNumber && r.read_number(d)) q.id = json::number_text(d);
+      else if (t == Type::kNull) r.read_null();
+      else expect(Type::kString, "\"id\" must be a string or number");
     } else if (key == "op") {
-      if (!value.is_string()) return query_error("\"op\" must be a string");
-      const std::string& op = value.as_string();
-      if (op == "solve") q.op = QueryOp::kSolve;
-      else if (op == "ping") q.op = QueryOp::kPing;
-      else if (op == "stats") q.op = QueryOp::kStats;
-      else if (op == "invalidate") q.op = QueryOp::kInvalidate;
-      else if (op == "dump") q.op = QueryOp::kDump;
-      else return query_error("unknown op \"" + op + "\" (solve|ping|stats|invalidate|dump)");
+      if (!expect(Type::kString, "\"op\" must be a string") || !r.read_string(s)) continue;
+      if (s == "solve") q.op = QueryOp::kSolve;
+      else if (s == "ping") q.op = QueryOp::kPing;
+      else if (s == "stats") q.op = QueryOp::kStats;
+      else if (s == "invalidate") q.op = QueryOp::kInvalidate;
+      else if (s == "dump") q.op = QueryOp::kDump;
+      else fail("unknown op \"" + s + "\" (solve|ping|stats|invalidate|dump)");
     } else if (key == "rates") {
-      if (!to_number_list(value, q.rates)) return query_error("\"rates\" must be a number array");
+      number_list(q.rates, "\"rates\" must be a number array");
     } else if (key == "probs") {
-      if (!to_number_list(value, q.probs)) return query_error("\"probs\" must be a number array");
+      number_list(q.probs, "\"probs\" must be a number array");
     } else if (key == "hurst") {
-      if (!value.is_number()) return query_error("\"hurst\" must be a number");
-      q.hurst = value.as_number();
+      number(q.hurst, "\"hurst\" must be a number");
     } else if (key == "mean_epoch") {
-      if (!value.is_number()) return query_error("\"mean_epoch\" must be a number");
-      q.mean_epoch = value.as_number();
+      number(q.mean_epoch, "\"mean_epoch\" must be a number");
     } else if (key == "cutoff") {
       // "inf" selects the fully self-similar model, same as lrdq_solve's
       // --cutoff inf (JSON itself has no infinity literal).
-      if (value.is_number()) q.cutoff = value.as_number();
-      else if (value.is_string() && value.as_string() == "inf")
-        q.cutoff = std::numeric_limits<double>::infinity();
-      else return query_error("\"cutoff\" must be a number or \"inf\"");
+      const char* message = "\"cutoff\" must be a number or \"inf\"";
+      if (r.peek() == Type::kNumber) r.read_number(q.cutoff);
+      else if (!expect(Type::kString, message) || !r.read_string(s)) continue;
+      else if (s == "inf") q.cutoff = std::numeric_limits<double>::infinity();
+      else fail(message);
     } else if (key == "utilization") {
-      if (!value.is_number()) return query_error("\"utilization\" must be a number");
-      q.utilization = value.as_number();
+      number(q.utilization, "\"utilization\" must be a number");
     } else if (key == "buffer") {
-      if (!value.is_number()) return query_error("\"buffer\" must be a number");
-      q.normalized_buffer = value.as_number();
+      number(q.normalized_buffer, "\"buffer\" must be a number");
     } else if (key == "gap") {
-      if (!value.is_number()) return query_error("\"gap\" must be a number");
-      q.target_relative_gap = value.as_number();
+      number(q.target_relative_gap, "\"gap\" must be a number");
     } else if (key == "max_bins") {
-      if (!to_size(value, q.max_bins))
-        return query_error("\"max_bins\" must be a non-negative integer");
+      size(q.max_bins, "\"max_bins\" must be a non-negative integer");
     } else if (key == "deadline_ms") {
-      if (!to_size(value, q.deadline_ms))
-        return query_error("\"deadline_ms\" must be a non-negative integer");
+      size(q.deadline_ms, "\"deadline_ms\" must be a non-negative integer");
     } else if (key == "target_loss") {
-      if (!value.is_number() || !(value.as_number() > 0.0) || !(value.as_number() < 1.0))
-        return query_error("\"target_loss\" must be a number in (0, 1)");
-      q.target_loss = value.as_number();
+      if (!number(d, "\"target_loss\" must be a number in (0, 1)")) continue;
+      if (d > 0.0 && d < 1.0) q.target_loss = d;
+      else fail("\"target_loss\" must be a number in (0, 1)");
     } else if (key == "cache") {
-      if (!value.is_bool()) return query_error("\"cache\" must be a boolean");
-      q.use_cache = value.as_bool();
+      if (expect(Type::kBool, "\"cache\" must be a boolean")) r.read_bool(q.use_cache);
     } else {
       // Fail fast on typos: a silently ignored "utilisation" would answer
       // a different capacity-planning question than the one asked.
-      return query_error("unknown query key \"" + key + "\"");
+      fail("unknown query key \"" + std::string(key) + "\"");
+      r.skip_value();
     }
   }
+  if (!r.finish()) {
+    lrd::Diagnostics diag = r.error();
+    diag.component = "serve.protocol";
+    return diag;
+  }
+  if (!invalid.empty()) return query_error(std::move(invalid));
   if (q.op == QueryOp::kSolve && (q.rates.empty() || q.probs.empty()))
     return query_error("a solve query needs non-empty \"rates\" and \"probs\"");
   return q;
+}
+
+std::string echo_id(std::string_view line) {
+  json::Reader r(line);
+  std::string id;
+  bool seen = false;  // the first "id" member answers, like Value::find
+  std::string_view key;
+  double d = 0.0;
+  const bool object = r.peek() == Type::kObject && r.begin_object();
+  while (object && r.next_key(key)) {
+    const Type t = seen || key != "id" ? Type::kNull : r.peek();
+    seen = seen || key == "id";
+    if (t == Type::kString) r.read_string(id);
+    else if (t == Type::kNumber && r.read_number(d)) id = json::number_text(d);
+    else r.skip_value();
+  }
+  return r.finish() ? id : std::string();
 }
 
 const char* query_status_name(QueryStatus s) noexcept {

@@ -73,6 +73,12 @@ struct Query {
 /// the diagnostic names the offending key or type.
 lrd::Expected<Query> parse_query(std::string_view line);
 
+/// The "id" to echo for a line that is not answered normally (shed, or
+/// rejected by parse_query), so a pipelined client can still match the
+/// response: the first "id" member when the line is a well-formed JSON
+/// object and that member is a string or number, else "".
+std::string echo_id(std::string_view line);
+
 enum class QueryStatus {
   kOk = 0,
   kNotConverged,

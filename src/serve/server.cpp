@@ -68,18 +68,6 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Best-effort "id" of a query line that will not be fully processed
-/// (shed / overlong), so the rejection still echoes the client's id.
-std::string peek_id(std::string_view line) {
-  auto parsed = obs::json::parse(line);
-  if (!parsed || !parsed.value().is_object()) return "";
-  const obs::json::Value* id = parsed.value().find("id");
-  if (id == nullptr) return "";
-  if (id->is_string()) return id->as_string();
-  if (id->is_number()) return obs::json::number_text(id->as_number());
-  return "";
-}
-
 }  // namespace
 
 /// One client. The fd is closed exactly once, by the destructor of the
@@ -265,7 +253,7 @@ void Server::admit_or_shed(const std::shared_ptr<Connection>& conn, std::string 
     shed_.fetch_add(1, std::memory_order_relaxed);
     shed_counter().inc();
     obs::instant("serve.shed", "serve");
-    const std::string id = peek_id(line);
+    const std::string id = echo_id(line);
     obs::flight::record(obs::flight::EventKind::kQueryShed, id, depth);
     if (obs::EventLog::global().active()) {
       obs::AccessRecord rec;

@@ -10,7 +10,9 @@
 // job alongside the recording-path tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,6 +93,60 @@ TEST(ObsJsonParser, RejectsMalformedInput) {
     EXPECT_FALSE(v.has_value()) << bad;
     EXPECT_EQ(v.diagnostics().category, ErrorCategory::kParse) << bad;
   }
+}
+
+TEST(ObsJsonParser, NumberVerdictsMatchStrtod) {
+  // The verdicts C strtod gives on the whole token: a leading '+', a bare
+  // trailing or leading '.' and leading zeros are accepted; overflow and
+  // inexact results at or below the smallest normal (ERANGE) are not.
+  const std::pair<const char*, double> accepted[] = {
+      {"+1", 1.0}, {"1.", 1.0}, {".5", 0.5}, {"-0", -0.0}, {"00", 0.0},
+      {"2.2250738585072014e-308", std::numeric_limits<double>::min()}};
+  for (const auto& [text, want] : accepted) {
+    const auto v = obs::json::parse(text);
+    ASSERT_TRUE(v.has_value()) << text;
+    EXPECT_EQ(v.value().as_number(), want) << text;
+  }
+  EXPECT_TRUE(std::signbit(obs::json::parse("-0").value().as_number()));
+  EXPECT_FALSE(std::signbit(obs::json::parse("00").value().as_number()));
+  for (const char* bad : {"1e-310", "4.9e-324", "2.2250738585072011e-308", "1e309", "1e-400",
+                          "1e", "--1", "+-1", "+"}) {
+    const auto v = obs::json::parse(bad);
+    ASSERT_FALSE(v.has_value()) << bad;
+    EXPECT_EQ(v.diagnostics().category, ErrorCategory::kParse) << bad;
+    EXPECT_EQ(v.diagnostics().message, std::string("malformed number '") + bad + "'");
+  }
+  // The token stops at the first character outside [0-9.eE+-], so the
+  // inf/nan spellings strtod and from_chars both know never reach them.
+  for (const char* bad : {"-inf", "-nan", "+Infinity", "-.e1"})
+    EXPECT_FALSE(obs::json::parse(bad).has_value()) << bad;
+}
+
+TEST(ObsJsonReader, PullsMembersAndReportsTheFirstErrorLine) {
+  obs::json::Reader r("{\"a\": [1, {\"b\": null}],\n \"k\\u0065y\": \"v\"}");
+  ASSERT_EQ(r.peek(), obs::json::Value::Type::kObject);
+  ASSERT_TRUE(r.begin_object());
+  std::string_view key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "a");
+  EXPECT_TRUE(r.skip_value());
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "key") << "escaped keys come back decoded";
+  std::string value;
+  ASSERT_TRUE(r.read_string(value));
+  EXPECT_EQ(value, "v");
+  EXPECT_FALSE(r.next_key(key));
+  EXPECT_TRUE(r.finish());
+
+  obs::json::Reader bad("[1,\n 2,\n x]");
+  ASSERT_TRUE(bad.begin_array());
+  while (bad.next_item()) bad.skip_value();
+  EXPECT_FALSE(bad.finish());
+  const Diagnostics d = bad.error();
+  EXPECT_EQ(d.category, ErrorCategory::kParse);
+  EXPECT_EQ(d.message, "unexpected character");
+  EXPECT_EQ(d.line, 3);
+  EXPECT_EQ(d.message, obs::json::parse("[1,\n 2,\n x]").diagnostics().message);
 }
 
 TEST(ObsJsonParser, MissingFileIsIoError) {
