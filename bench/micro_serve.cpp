@@ -1,29 +1,17 @@
 // micro_serve — microbenchmarks for the serving tier.
 //
-// Two claims are gated here:
-//   * serve/query_warm — a warm repeat query (parse, cell key, sharded
-//     cache hit, correlation horizon, response serialization) costs
-//     microseconds, not solver milliseconds: the daemon's steady-state
-//     answer path never re-solves a cell it has already answered;
-//     serve/query_warm_fig is the same path for the figure-sized query
-//     e2ebench sends: the 50-bin MTV marginal at %.17g, ~2 KB a line, so
-//     protocol parse is measured at the size clients actually send
-//     (recorded, not gated);
-//   * cache/sharded_lookup — concurrent lookups against the sharded
-//     memory tier scale with threads instead of serializing on one
-//     global mutex; the record carries the measured speedup against a
-//     single-mutex baseline map so `lrdq_bench_check` can flag a return
-//     to global-lock behaviour, machine-independently.
+// serve/query_warm — a warm repeat query (parse, cell key, cache hit,
+// correlation horizon, response serialization) costs microseconds, not
+// solver milliseconds: the daemon's steady-state answer path never
+// re-solves a cell it has already answered. serve/query_warm_fig is the
+// same path for the figure-sized query e2ebench sends: the 50-bin MTV
+// marginal at %.17g, ~2 KB a line, so protocol parse is measured at the
+// size clients actually send (recorded, not gated).
 //
 // Results print to stdout and append to BENCH_history.jsonl
 // (--history/--no-history to redirect/disable).
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/traces.hpp"
@@ -36,16 +24,9 @@ namespace {
 using namespace lrd;
 
 constexpr const char* kUsage =
-    "usage: micro_serve [--threads N] [--filter SUBSTR] [--list] [--repeats N]\n"
+    "usage: micro_serve [--filter SUBSTR] [--list] [--repeats N]\n"
     "                   [--warmup N] [--history FILE] [--no-history]\n"
-    "       --threads defaults to 4 (lookup scaling, not machine\n"
-    "       saturation); LRDQ_THREADS overrides, 0 = hardware concurrency\n"
     "       micro_serve --help | --version";
-
-/// Spreads loop indices the way real cell keys spread: FNV over the index.
-std::uint64_t key_of(std::size_t i) {
-  return runtime::Fnv1a().u64(i).digest();
-}
 
 std::string g17(double v) {
   char buf[40];
@@ -91,73 +72,21 @@ void warm_query_case(bench::Case& c, const std::string& line) {
   c.metric("hit_rate", total == 0 ? 0.0 : static_cast<double>(hits) / total);
 }
 
-/// The baseline the sharded tier replaced: one map, one global mutex.
-class SingleMutexCache {
- public:
-  void store(std::uint64_t key, double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_[key] = value;
-  }
-  double lookup(std::uint64_t key) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = map_.find(key);
-    return it == map_.end() ? -1.0 : it->second;
-  }
-
- private:
-  std::mutex mu_;
-  std::unordered_map<std::uint64_t, double> map_;
-};
-
-/// `threads` workers each perform `per_thread` lookups; returns wall
-/// nanoseconds per lookup. The checksum keeps the loads from being
-/// optimized away.
-double timed_lookups(std::size_t threads, std::size_t per_thread, std::size_t keys,
-                     const std::function<double(std::uint64_t)>& lookup) {
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  std::vector<double> sinks(threads, 0.0);
-  const obs::SteadyTime t0 = obs::now();
-  for (std::size_t w = 0; w < threads; ++w) {
-    pool.emplace_back([&, w] {
-      double sink = 0.0;
-      // Per-worker stride so threads fan out over the key space instead
-      // of marching through it in lockstep.
-      for (std::size_t i = 0; i < per_thread; ++i)
-        sink += lookup(key_of((i * (w + 1) + w) % keys));
-      sinks[w] = sink;
-    });
-  }
-  for (auto& th : pool) th.join();
-  double total = 0.0;
-  for (const double s : sinks) total += s;
-  if (total < 0.0) std::fprintf(stderr, "micro_serve: unexpected miss\n");
-  return obs::seconds_since(t0) * 1e9 / static_cast<double>(threads * per_thread);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return cli::run_tool(kUsage, [&] {
-    cli::Args args(argc, argv, bench::Harness::value_flags({"threads"}),
-                   bench::Harness::bool_flags());
+    cli::Args args(argc, argv, bench::Harness::value_flags(), bench::Harness::bool_flags());
     if (args.help()) {
       std::printf("%s\n", kUsage);
       return 0;
     }
     if (args.version()) return cli::print_version("micro_serve");
-    std::size_t threads = 4;
-    if (args.has("threads") || std::getenv("LRDQ_THREADS")) threads = cli::resolve_threads(args);
-    if (threads == 0) threads = std::thread::hardware_concurrency();
-
-    // The ISSUE-gated keys live under two bench prefixes; each harness
-    // appends its own records to the shared history.
     bench::Harness serve_h("serve", args);
-    bench::Harness cache_h("cache", args);
 
     // Steady-state daemon answer path: the same cell asked again. One
     // cold execute warms the cache; the timed region is parse + key +
-    // sharded hit + horizon + serialize, never a solve.
+    // cache hit + horizon + serialize, never a solve.
     serve_h.add("query_warm", {1, 5}, [](bench::Case& c) {
       warm_query_case(c, R"({"id": "warm", "rates": [2, 6, 10], "probs": [0.3, 0.4, 0.3],)"
                          R"( "cutoff": 5, "buffer": 0.2})");
@@ -165,41 +94,6 @@ int main(int argc, char** argv) {
     serve_h.add("query_warm_fig", {1, 5},
                 [](bench::Case& c) { warm_query_case(c, mtv_query_line()); });
 
-    // Concurrent warm lookups: sharded tier vs the single-global-mutex
-    // baseline it replaced, same keys, same access pattern.
-    cache_h.add("sharded_lookup", {1, 5}, [threads](bench::Case& c) {
-      constexpr std::size_t kKeys = 4096;
-      constexpr std::size_t kPerThread = 200000;
-      runtime::SolverCache sharded;
-      SingleMutexCache single;
-      for (std::size_t i = 0; i < kKeys; ++i) {
-        sharded.store(key_of(i), static_cast<double>(i));
-        single.store(key_of(i), static_cast<double>(i));
-      }
-      c.set_unit("ns");
-      const auto sharded_lookup = [&](std::uint64_t k) { return sharded.lookup(k).value_or(-1e9); };
-      const auto single_lookup = [&](std::uint64_t k) { return single.lookup(k); };
-      for (std::size_t i = 0; i < c.warmup(); ++i)
-        (void)timed_lookups(threads, kPerThread, kKeys, sharded_lookup);
-      std::vector<double> baseline;
-      for (std::size_t i = 0; i < c.repeats(); ++i) {
-        c.add_sample(timed_lookups(threads, kPerThread, kKeys, sharded_lookup));
-        baseline.push_back(timed_lookups(threads, kPerThread, kKeys, single_lookup));
-      }
-      const obs::RobustStats sharded_stats = obs::robust_stats(c.samples());
-      const obs::RobustStats single_stats = obs::robust_stats(baseline);
-      c.metric("threads", static_cast<double>(threads));
-      c.metric("single_mutex_ns", single_stats.median);
-      // Lower-is-better ratio the regression gate watches: sharded cost
-      // over single-mutex cost on the same machine, so the comparison is
-      // hardware-independent (a return to global-lock scaling shows up
-      // here even when absolute wall times moved).
-      if (single_stats.median > 0.0)
-        c.metric("slowdown_vs_single_mutex", sharded_stats.median / single_stats.median);
-    });
-
-    const int serve_rc = serve_h.run();
-    const int cache_rc = cache_h.run();
-    return serve_rc != 0 ? serve_rc : cache_rc;
+    return serve_h.run();
   });
 }

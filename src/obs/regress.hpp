@@ -105,11 +105,9 @@ struct RegressionConfig {
   /// Relative increase floor for gated telemetry metrics.
   double metric_slack = 0.25;
   /// Lower-is-better metric names the detector gates (exact match
-  /// against BenchHistoryRecord::metrics keys). slowdown_vs_single_mutex
-  /// is the sharded cache's machine-independent scaling ratio (see
-  /// bench/micro_serve.cpp).
+  /// against BenchHistoryRecord::metrics keys).
   std::vector<std::string> gated_metrics = {"iterations", "levels", "mass_drift",
-                                            "occupancy_gap", "slowdown_vs_single_mutex"};
+                                            "occupancy_gap"};
 
   lrd::Status validate() const;
 };

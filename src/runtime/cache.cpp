@@ -116,8 +116,7 @@ void quarantine_lines(const std::string& path, const std::vector<std::string>& l
 }  // namespace
 
 SolverCache::SolverCache(const SolverCacheConfig& cfg)
-    : shard_capacity_(cfg.capacity_cost > 0.0 ? cfg.capacity_cost / kShards : 0.0),
-      salt_(cfg.version_salt) {
+    : capacity_(cfg.capacity_cost), salt_(cfg.version_salt) {
   if (cfg.disk_dir.empty()) return;
   obs::Span load_span("cache.load_disk", "cache");
   // Touch every cache metric so a snapshot taken later carries them even
@@ -176,7 +175,7 @@ SolverCache::SolverCache(const SolverCacheConfig& cfg)
   quarantine_lines(quarantine_path(), corrupt_lines);
 
   // Warm the memory tier from the surviving records (eviction applies, so
-  // a bounded cache keeps only the most recently loaded shard-share).
+  // a bounded cache keeps only the most recently loaded records).
   for (const auto& [key, value] : disk_map_) insert_memory(key, value, 1.0);
 
   file_ = std::fopen(file_path_.c_str(), "a");
@@ -211,33 +210,32 @@ SolverCache::~SolverCache() {
 
 void SolverCache::insert_memory(std::uint64_t key, double value, double cost) {
   cost = std::max(cost, 1e-9);  // a zero-cost entry must still occupy budget
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(key);
-  if (it != s.map.end()) {
-    s.cost += cost - it->second.cost;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
+    cost_ += cost - it->second.cost;
     it->second.value = value;
     it->second.cost = cost;
-    s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
-  s.lru.push_front(key);
-  s.map.emplace(key, Entry{value, cost, s.lru.begin()});
-  s.cost += cost;
-  // LRU-with-cost: shed from the cold end until the shard fits its share
-  // of the budget again. The just-inserted entry is never shed (a single
-  // over-budget entry is still worth keeping — it was just computed).
-  while (shard_capacity_ > 0.0 && s.cost > shard_capacity_ && s.lru.size() > 1) {
+  lru_.push_front(key);
+  map_.emplace(key, Entry{value, cost, lru_.begin()});
+  cost_ += cost;
+  // LRU-with-cost: shed from the cold end until the tier fits the budget
+  // again. The just-inserted entry is never shed (a single over-budget
+  // entry is still worth keeping — it was just computed).
+  while (capacity_ > 0.0 && cost_ > capacity_ && lru_.size() > 1) {
     // Torture hook for the serving tier: a crash mid-eviction must leave
     // the disk tier (the durable truth) untouched. io_error/torn do not
     // apply to a memory-only operation and are ignored.
     core::failpoint_hit("cache.evict");
-    const std::uint64_t victim = s.lru.back();
-    const auto vit = s.map.find(victim);
-    s.cost -= vit->second.cost;
-    s.map.erase(vit);
-    s.lru.pop_back();
-    ++s.evictions;
+    const std::uint64_t victim = lru_.back();
+    const auto vit = map_.find(victim);
+    cost_ -= vit->second.cost;
+    map_.erase(vit);
+    lru_.pop_back();
+    ++evictions_;
     evictions_counter().inc();
     obs::instant("cache.evict", "cache");
     obs::flight::record(obs::flight::EventKind::kCacheEvict, "", victim);
@@ -246,20 +244,19 @@ void SolverCache::insert_memory(std::uint64_t key, double value, double cost) {
 
 std::optional<double> SolverCache::lookup(std::uint64_t key, bool* from_disk) {
   if (from_disk) *from_disk = false;
-  Shard& s = shard_for(key);
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      ++s.hits;
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++hits_;
       hits_counter().inc();
       obs::instant("cache.hit", "cache");
       obs::flight::record(obs::flight::EventKind::kCacheHit, "", key, 0);
-      s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return it->second.value;
     }
     if (file_path_.empty()) {  // memory-only: miss is final
-      ++s.misses;
+      ++misses_;
       misses_counter().inc();
       obs::instant("cache.miss", "cache");
       obs::flight::record(obs::flight::EventKind::kCacheMiss, "", key);
@@ -321,11 +318,11 @@ bool SolverCache::compact() {
 }
 
 bool SolverCache::invalidate() {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.map.clear();
-    s.lru.clear();
-    s.cost = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
+    lru_.clear();
+    cost_ = 0.0;
   }
   std::lock_guard<std::mutex> lock(disk_mu_);
   disk_map_.clear();
@@ -372,22 +369,16 @@ CacheStats SolverCache::stats() const {
     std::lock_guard<std::mutex> lock(disk_mu_);
     out = central_;
   }
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  out.hits += hits_;
+  out.misses += misses_;
+  out.evictions += evictions_;
   return out;
 }
 
 std::size_t SolverCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    n += s.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 }  // namespace lrd::runtime

@@ -1,4 +1,4 @@
-// Content-addressed solver result cache — concurrent sharded tier.
+// Content-addressed solver result cache — one LRU memory tier plus disk.
 //
 // A sweep cell is pure: its loss value is fully determined by the model
 // configuration, the solver configuration and the cell coordinates. The
@@ -18,24 +18,25 @@
 //     behaviour changes in a way that invalidates cached losses.
 //
 // Concurrency model (the serving tier's requirement): the memory tier is
-// split into kShards shards addressed by a mix of the key, each with its
-// own mutex, hash map and LRU list, so concurrent clients contend only
-// when their keys land on the same shard. The disk tier (and the shared
-// load/store/compaction bookkeeping) sits behind a second mutex; no code
-// path ever holds a shard lock and the disk lock at the same time, so
-// there is no lock-order cycle. All public methods are thread-safe.
+// one hash map and one LRU list behind one mutex; a warm hit holds it
+// only for a map lookup, an LRU splice and its counters. The disk tier
+// (and the shared load/store/compaction bookkeeping) sits behind a
+// second mutex, because store() fsyncs each append under it and a warm
+// hit must never wait on a disk write. No code path ever holds both
+// mutexes at once, so there is no lock-order cycle. All public methods
+// are thread-safe.
 //
-// Eviction: `SolverCacheConfig::capacity_cost` bounds the memory tier.
-// Every entry carries a cost (callers pass the solve's wall seconds, or
-// the default 1.0 so capacity counts entries); when a shard exceeds its
-// share of the budget it evicts least-recently-used entries first
-// (`CacheStats::evictions`, `lrd_cache_evictions_total`). Evicted entries
-// are *not* lost on a persistent cache: the disk tier is a true second
-// level, consulted on a memory miss and promoted back on a hit
-// (`CacheStats::disk_hits`). capacity_cost = 0 keeps the historical
+// Eviction: `SolverCacheConfig::capacity_cost` is one global budget for
+// the memory tier. Every entry carries a cost (callers pass the solve's
+// wall seconds, or the default 1.0 so capacity counts entries); when the
+// resident cost exceeds the budget the least-recently-used entries are
+// evicted first (`CacheStats::evictions`, `lrd_cache_evictions_total`).
+// Evicted entries are *not* lost on a persistent cache: the disk tier is
+// a true second level, consulted on a memory miss and promoted back on a
+// hit (`CacheStats::disk_hits`). capacity_cost = 0 keeps the historical
 // never-evicted behaviour.
 //
-// Tiers: the sharded in-memory map always; optionally a persistent
+// Tiers: the in-memory map always; optionally a persistent
 // append-only text file (`<dir>/solver_cache.txt`) loaded at
 // construction — the on-disk tier is what makes a warm rerun of an
 // unchanged surface complete without a single solve. Only *clean* results
@@ -141,23 +142,19 @@ struct CacheStats {
 struct SolverCacheConfig {
   /// Directory of the persistent tier; empty = memory-only.
   std::string disk_dir;
-  /// Total memory-tier cost budget across all shards (each entry
-  /// contributes its store() cost, default 1.0 per entry, so with default
-  /// costs this is a max entry count). 0 = unlimited, never evict.
+  /// Memory-tier cost budget (each entry contributes its store() cost,
+  /// default 1.0 per entry, so with default costs this is a max entry
+  /// count). 0 = unlimited, never evict.
   double capacity_cost = 0.0;
   /// Version salt recorded in (and checked against) the disk tier. A
   /// mismatch on load drops every persisted record as stale.
   std::string version_salt = std::string(kCacheVersionSalt);
 };
 
-/// Thread-safe key -> loss-value cache: sharded LRU memory tier,
+/// Thread-safe key -> loss-value cache: LRU memory tier,
 /// optional CRC-validated disk tier as a second level.
 class SolverCache {
  public:
-  /// Memory-tier shards; striped locking keeps concurrent clients off
-  /// each other's cache lines unless their keys collide mod kShards.
-  static constexpr std::size_t kShards = 16;
-
   /// Duplicate-or-corrupt records tolerated on load before the disk file
   /// is auto-compacted (any corruption or staleness at all triggers a
   /// clean rewrite).
@@ -219,32 +216,26 @@ class SolverCache {
     double cost = 1.0;
     std::list<std::uint64_t>::iterator lru_it;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> lru;  // front = most recently used
-    double cost = 0.0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
 
-  Shard& shard_for(std::uint64_t key) noexcept {
-    // Fibonacci mix so shard choice is independent of the low key bits
-    // callers might correlate (the keys are FNV digests, but cheap).
-    return shards_[(key * 0x9E3779B97F4A7C15ull) >> 60];
-  }
-
-  /// Inserts into one shard and evicts LRU entries past the shard's
-  /// budget. Caller must NOT hold the shard lock.
+  /// Inserts into the memory tier and evicts LRU entries past the budget.
+  /// Caller must NOT hold mu_.
   void insert_memory(std::uint64_t key, double value, double cost);
   bool compact_locked();
 
-  Shard shards_[kShards];
-  double shard_capacity_ = 0.0;  // capacity_cost / kShards; 0 = unlimited
+  double capacity_ = 0.0;  // capacity_cost; <= 0 = unlimited
 
-  /// Guards the disk tier and the shared (non-shard) stats. Never held
-  /// together with a shard mutex.
+  /// Guards the memory tier and its counters. Never held together with
+  /// disk_mu_.
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, Entry> map_;
+  std::list<std::uint64_t> lru_;  // front = most recently used
+  double cost_ = 0.0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+
+  /// Guards the disk tier and the remaining stats. Never held together
+  /// with mu_.
   mutable std::mutex disk_mu_;
   std::unordered_map<std::uint64_t, double> disk_map_;  // all persisted records
   CacheStats central_;  // stores/loaded/duplicates/corrupt/compactions/disk_hits/...

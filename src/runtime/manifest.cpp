@@ -161,7 +161,7 @@ std::string RunManifest::to_json() const {
                 ", \"stores\": %" PRIu64 ", \"loaded\": %" PRIu64,
                 cache_.hits, cache_.misses, cache_.stores, cache_.loaded);
   out += buf;
-  // Sharded-tier counts only appear when non-zero, keeping manifests from
+  // Eviction and disk-tier counts only appear when non-zero, keeping manifests from
   // unbounded single-run caches byte-identical to before.
   if (cache_.evictions + cache_.disk_hits + cache_.stale > 0) {
     std::snprintf(buf, sizeof buf,

@@ -1,7 +1,7 @@
 // QueryService: the socket-free heart of the loss-rate daemon.
 //
 // One service instance owns the query semantics — cell key derivation,
-// sharded-cache consultation with provenance, the deadline-bounded solve,
+// cache consultation with provenance, the deadline-bounded solve,
 // the required-buffer search — and nothing about transports. The unix
 // socket server (serve/server.hpp), the `--once` stdin mode and the unit
 // tests all call the same execute(), so every transport answers every
@@ -17,7 +17,7 @@
 // its probe solves (it is one query), checking the remaining budget
 // before each probe.
 //
-// Cache contract: a solve consults the sharded SolverCache under the
+// Cache contract: a solve consults the shared SolverCache under the
 // exact model_cell_key lrdq_sweep uses, so daemon answers and sweep
 // cells share one content-addressed store. Only converged solves are
 // stored (cost = the solve's wall seconds, so eviction keeps expensive

@@ -384,15 +384,15 @@ TEST(RuntimeCache, ExplicitCompactRewritesCleanV2File) {
   EXPECT_EQ(*reopened.lookup(11), 0.125);
 }
 
-// ---------------------------------------------------- cache: sharded tier
+// ---------------------------------------------------- cache: LRU memory tier
 
-TEST(RuntimeCache, ShardedMultiWriterStressStaysConsistent) {
+TEST(RuntimeCache, MultiWriterStressStaysConsistent) {
   // Many writers and readers hammer a bounded memory-only cache with an
-  // overlapping key range. Run under TSan this is the striped-locking
+  // overlapping key range. Run under TSan this is the memory-tier locking
   // proof; in any build the final accounting must balance and the
   // eviction policy must hold the capacity bound.
   runtime::SolverCacheConfig cfg;
-  cfg.capacity_cost = 64.0;  // default 1.0-cost entries: max 4 per shard
+  cfg.capacity_cost = 64.0;  // default 1.0-cost entries: max 64 resident
   runtime::SolverCache cache(cfg);
 
   constexpr std::size_t kThreads = 8;
@@ -421,37 +421,55 @@ TEST(RuntimeCache, ShardedMultiWriterStressStaysConsistent) {
   const auto stats = cache.stats();
   EXPECT_GT(found.load(), 0u);
   EXPECT_GT(stats.evictions, 0u) << "512 hot keys against capacity 64 must evict";
-  EXPECT_LE(cache.size(), 64u) << "eviction holds every shard to its budget";
+  EXPECT_LE(cache.size(), 64u) << "eviction holds the tier to its budget";
 }
 
-TEST(RuntimeCache, EvictsLeastRecentlyUsedFirstWithinAShard) {
-  // Collect keys that land in one shard (shard_for mixes the key, so
-  // probe), then overfill that shard and check the eviction order: the
-  // oldest untouched key goes first, and a lookup refreshes recency.
+TEST(RuntimeCache, CapacityIsOneGlobalBudget) {
+  // 16 distinct keys against a budget of 4: only 4 stay resident, and
+  // every insert past the fourth evicts exactly one entry.
   runtime::SolverCacheConfig cfg;
-  cfg.capacity_cost = 3.0 * runtime::SolverCache::kShards;  // 3 entries per shard
+  cfg.capacity_cost = 4.0;
+  runtime::SolverCache cache(cfg);
+  for (std::uint64_t k = 1; k <= 16; ++k) cache.store(k, static_cast<double>(k));
+  EXPECT_LE(cache.size(), 4u);
+  EXPECT_EQ(cache.stats().evictions, 12u);
+  for (std::uint64_t k = 13; k <= 16; ++k)
+    EXPECT_TRUE(cache.lookup(k).has_value()) << "most recent key " << k << " resident";
+}
+
+TEST(RuntimeCache, UnderBudgetNeverEvicts) {
+  runtime::SolverCacheConfig cfg;
+  cfg.capacity_cost = 64.0;
+  runtime::SolverCache cache(cfg);
+  for (std::uint64_t k = 1; k <= 60; ++k) cache.store(k, static_cast<double>(k));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.size(), 60u);
+}
+
+TEST(RuntimeCache, EvictsLeastRecentlyUsedFirst) {
+  // Overfill the tier and check the eviction order: the oldest untouched
+  // key goes first, and a lookup refreshes recency.
+  runtime::SolverCacheConfig cfg;
+  cfg.capacity_cost = 3.0;
   runtime::SolverCache cache(cfg);
 
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 1; keys.size() < 5; ++k)
-    if (((k * 0x9E3779B97F4A7C15ull) >> 60) == 0) keys.push_back(k);
-
-  cache.store(keys[0], 0.0);
-  cache.store(keys[1], 1.0);
-  cache.store(keys[2], 2.0);           // shard full: {2, 1, 0} MRU->LRU
-  ASSERT_TRUE(cache.lookup(keys[0]));  // refresh 0: {0, 2, 1}
-  cache.store(keys[3], 3.0);           // evicts 1 (LRU), not 0
-  EXPECT_TRUE(cache.lookup(keys[0]).has_value());
-  EXPECT_FALSE(cache.lookup(keys[1]).has_value()) << "LRU key evicted";
-  EXPECT_TRUE(cache.lookup(keys[2]).has_value());
-  EXPECT_TRUE(cache.lookup(keys[3]).has_value());
+  cache.store(10, 0.0);
+  cache.store(11, 1.0);
+  cache.store(12, 2.0);           // full: {12, 11, 10} MRU->LRU
+  ASSERT_TRUE(cache.lookup(10));  // refresh 10: {10, 12, 11}
+  cache.store(13, 3.0);           // evicts 11 (LRU), not 10
+  EXPECT_TRUE(cache.lookup(10).has_value());
+  EXPECT_FALSE(cache.lookup(11).has_value()) << "LRU key evicted";
+  EXPECT_TRUE(cache.lookup(12).has_value());
+  EXPECT_TRUE(cache.lookup(13).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
 
-  // Cost-weighted: one entry heavier than the whole budget evicts the
-  // rest of the shard but stays resident itself (just computed).
-  cache.store(keys[4], 4.0, 100.0);
-  EXPECT_TRUE(cache.lookup(keys[4]).has_value());
-  EXPECT_FALSE(cache.lookup(keys[0]).has_value());
+  // Cost-weighted: one entry heavier than the whole budget evicts every
+  // other entry but stays resident itself (just computed).
+  cache.store(14, 4.0, 100.0);
+  EXPECT_TRUE(cache.lookup(14).has_value());
+  EXPECT_FALSE(cache.lookup(10).has_value());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(RuntimeCache, DiskTierServesEvictedEntriesAsSecondLevel) {
@@ -459,11 +477,11 @@ TEST(RuntimeCache, DiskTierServesEvictedEntriesAsSecondLevel) {
   std::filesystem::remove_all(dir);
   runtime::SolverCacheConfig cfg;
   cfg.disk_dir = dir;
-  cfg.capacity_cost = 16.0;  // 1 entry per shard: heavy eviction
+  cfg.capacity_cost = 16.0;
   runtime::SolverCache cache(cfg);
   for (std::uint64_t k = 1; k <= 64; ++k) cache.store(k, static_cast<double>(k));
-  ASSERT_GT(cache.stats().evictions, 0u);
-  EXPECT_LE(cache.size(), 16u);
+  EXPECT_EQ(cache.stats().evictions, 48u);
+  EXPECT_EQ(cache.size(), 16u);
 
   // Every stored key is still served — evicted ones from the disk tier,
   // counted as disk_hits and promoted back into memory.
@@ -476,6 +494,7 @@ TEST(RuntimeCache, DiskTierServesEvictedEntriesAsSecondLevel) {
   EXPECT_EQ(stats.hits, 64u);
   EXPECT_GT(stats.disk_hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
+  EXPECT_LE(cache.size(), 16u);
 }
 
 TEST(RuntimeCache, SaltMismatchDropsPersistedRecordsAsStale) {

@@ -1,5 +1,5 @@
-// Tests for the Whittle estimator, Durbin-Levinson / FARIMA synthesis,
-// the chaotic-map source and the source shaper.
+// Tests for the Whittle estimator, Durbin-Levinson / FARIMA synthesis
+// and the source shaper.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "analysis/whittle.hpp"
 #include "numerics/random.hpp"
 #include "test_helpers.hpp"
-#include "traffic/chaotic_map.hpp"
 #include "traffic/fgn.hpp"
 #include "traffic/gaussian_synthesis.hpp"
 #include "traffic/smoother.hpp"
@@ -165,66 +164,6 @@ TEST(Farima, GeneratedSeriesHasTargetHurst) {
   auto x = traffic::generate_farima(1 << 13, d, rng);
   const auto est = analysis::hurst_wavelet(x);
   EXPECT_NEAR(est.hurst, d + 0.5, 0.08);
-}
-
-// ---- Chaotic map -----------------------------------------------------------
-
-TEST(ChaoticMap, Validation) {
-  traffic::ChaoticMapConfig bad;
-  bad.m = 3.0;
-  EXPECT_THROW(traffic::generate_chaotic_map_trace(bad, 10, 0.1), std::invalid_argument);
-  bad = traffic::ChaoticMapConfig{};
-  bad.d = 1.5;
-  EXPECT_THROW(traffic::generate_chaotic_map_trace(bad, 10, 0.1), std::invalid_argument);
-  EXPECT_THROW(traffic::chaotic_map_hurst(1.2), std::invalid_argument);
-  EXPECT_NEAR(traffic::chaotic_map_hurst(1.8), (3.0 * 1.8 - 4.0) / (2.0 * 0.8), 1e-12);
-}
-
-TEST(ChaoticMap, TrajectoryStaysInUnitInterval) {
-  traffic::ChaoticMapConfig cfg;
-  double x = cfg.x0;
-  for (int i = 0; i < 100000; ++i) {
-    x = traffic::chaotic_map_step(x, cfg);
-    ASSERT_GE(x, 0.0);
-    ASSERT_LT(x, 1.0);
-  }
-}
-
-TEST(ChaoticMap, EmitsOnOffTrace) {
-  traffic::ChaoticMapConfig cfg;
-  cfg.peak_rate = 5.0;
-  auto trace = traffic::generate_chaotic_map_trace(cfg, 1 << 15, 0.01);
-  double on = 0.0;
-  for (double r : trace.rates()) {
-    ASSERT_TRUE(r == 0.0 || r == 5.0);
-    if (r > 0.0) on += 1.0;
-  }
-  const double frac = on / static_cast<double>(trace.size());
-  EXPECT_GT(frac, 0.02);
-  EXPECT_LT(frac, 0.98);
-}
-
-TEST(ChaoticMap, IntermittencyProducesLongMemory) {
-  traffic::ChaoticMapConfig cfg;
-  cfg.m = 1.9;
-  cfg.epsilon = 1e-6;  // weaker perturbation -> longer off sojourns
-  auto trace = traffic::generate_chaotic_map_trace(cfg, 1 << 18, 0.01);
-  const double h = analysis::hurst_variance_time(trace).hurst;
-  // The same map with m well below the LRD regime stays near H = 1/2.
-  traffic::ChaoticMapConfig srd = cfg;
-  srd.m = 1.1;
-  srd.epsilon = 1e-3;
-  auto srd_trace = traffic::generate_chaotic_map_trace(srd, 1 << 18, 0.01);
-  const double h_srd = analysis::hurst_variance_time(srd_trace).hurst;
-  EXPECT_GT(h, 0.6) << "intermittent map sojourns must induce LRD";
-  EXPECT_GT(h, h_srd + 0.05);
-}
-
-TEST(ChaoticMap, DeterministicGivenInitialCondition) {
-  traffic::ChaoticMapConfig cfg;
-  auto a = traffic::generate_chaotic_map_trace(cfg, 512, 0.01);
-  auto b = traffic::generate_chaotic_map_trace(cfg, 512, 0.01);
-  for (std::size_t i = 0; i < 512; ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
 // ---- Shaper ----------------------------------------------------------------

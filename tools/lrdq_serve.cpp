@@ -8,11 +8,12 @@
 //   lrdq_serve --connect /run/lrdq.sock < queries.jsonl   (scripted client)
 //
 // Queries are line-delimited JSON (docs/SERVE.md). The daemon answers
-// concurrent clients from a shared content-addressed sharded solver
-// cache; per-query deadlines bound every solve (status
-// deadline_exceeded, never a hang); a bounded admission queue sheds
-// excess load (status shed, code 7); SIGTERM/SIGINT drain gracefully —
-// every admitted query is answered before the daemon exits 0.
+// concurrent clients from one shared content-addressed solver cache
+// (one LRU memory tier, bounded by --cache-capacity); per-query
+// deadlines bound every solve (status deadline_exceeded, never a hang);
+// a bounded admission queue sheds excess load (status shed, code 7);
+// SIGTERM/SIGINT drain gracefully — every admitted query is answered
+// before the daemon exits 0.
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
