@@ -59,6 +59,36 @@ queueing::FluidQueueSolver figure_solver() {
   return queueing::FluidQueueSolver(mtv.marginal, epochs, c, 0.5 * c);
 }
 
+constexpr queueing::FoldConcurrency kPinnedSplit{1, 0};
+constexpr queueing::FoldConcurrency kPinnedPacked{1, static_cast<std::size_t>(-1)};
+
+/// A fold engine stepping the solver's initial Dirac pair at M.
+struct FoldRun {
+  FoldRun(const std::vector<double>& wl, const std::vector<double>& wh, std::size_t m,
+          queueing::FoldConcurrency concurrency)
+      : engine(wl, wh, m, concurrency), q_low(m + 1, 0.0), q_high(m + 1, 0.0) {
+    q_low[0] = 1.0;
+    q_high[m] = 1.0;
+  }
+  void step() { engine.step(q_low, q_high, low_health, high_health); }
+  /// Median of five inline passes of `iters` steps, in ns per step (one
+  /// warm-up step first) — the secondary timings of the fold_step cases.
+  double median_ns(std::size_t iters) {
+    step();
+    std::vector<double> passes;
+    for (int pass = 0; pass < 5; ++pass) {
+      const obs::SteadyTime t0 = obs::now();
+      for (std::size_t i = 0; i < iters; ++i) step();
+      passes.push_back(obs::seconds_since(t0) * 1e9 / static_cast<double>(iters));
+    }
+    return obs::robust_stats(passes).median;
+  }
+
+  queueing::DualFoldEngine engine;
+  std::vector<double> q_low, q_high;
+  queueing::StepHealth low_health, high_health;
+};
+
 /// Registers one full-solve case; the solver telemetry rides on the
 /// record as gated metrics.
 void add_solve_case(bench::Harness& h, const std::string& name, double gap,
@@ -205,66 +235,64 @@ int main(int argc, char** argv) {
       if (simd_ns > 0.0) c.metric("speedup_vs_scalar", scalar_ns / simd_ns);
     });
 
-    for (const std::size_t m : {std::size_t{1024}, std::size_t{4096}}) {
+    // fold_step decides FoldConcurrency::min_bins_for_mt: run it at
+    // LRDQ_THREADS=1 and at the host's width, and compare each _mt
+    // record's speedup_vs_packed (threaded split over single-thread
+    // packed) across M.
+    for (const std::size_t m : {std::size_t{128}, std::size_t{256}, std::size_t{512},
+                                std::size_t{1024}, std::size_t{2048}, std::size_t{4096}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's per-epoch cost with the engine pinned to one
+        // The solver's per-epoch cost in split layout pinned to one
         // thread — the machine-independent single-core baseline the _mt
-        // variant is judged against. The speedup_vs_sequential metric
-        // compares against the pre-batching epoch (two independent
-        // cached convolutions, allocating path).
+        // variant is judged against. speedup_vs_sequential compares
+        // against the pre-batching epoch (two independent linear cached
+        // convolutions, allocating path); speedup_vs_packed against the
+        // packed layout at the same M.
         auto solver = figure_solver();
         const auto wl = solver.increment_pmf_lower(m);
         const auto wh = solver.increment_pmf_upper(m);
-        queueing::DualFoldEngine engine(wl, wh, m, queueing::FoldConcurrency{1, 1024});
-        std::vector<double> q_low(m + 1, 0.0), q_high(m + 1, 0.0);
-        q_low[0] = 1.0;
-        q_high[m] = 1.0;
-        queueing::StepHealth low_health, high_health;
         const std::size_t iters = std::max<std::size_t>(4, 16384 / m);
-        c.measure_ns_per_iter(iters, [&](std::size_t) {
-          engine.step(q_low, q_high, low_health, high_health);
-        });
-        const double dual_ns = obs::robust_stats(c.samples()).median;
+        FoldRun split(wl, wh, m, kPinnedSplit);
+        c.measure_ns_per_iter(iters, [&](std::size_t) { split.step(); });
+        const double split_ns = obs::robust_stats(c.samples()).median;
         const numerics::CachedKernelConvolver conv_low(wl, m + 1), conv_high(wh, m + 1);
         const obs::SteadyTime t0 = obs::now();
         for (std::size_t i = 0; i < iters; ++i) {
-          (void)conv_low.convolve(q_low);
-          (void)conv_high.convolve(q_high);
+          (void)conv_low.convolve(split.q_low);
+          (void)conv_high.convolve(split.q_high);
         }
         const double seq_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
+        const double packed_ns = FoldRun(wl, wh, m, kPinnedPacked).median_ns(iters);
         c.metric("sequential_ns", seq_ns);
-        if (dual_ns > 0.0) c.metric("speedup_vs_sequential", seq_ns / dual_ns);
+        c.metric("packed_ns", packed_ns);
+        if (split_ns > 0.0) {
+          c.metric("speedup_vs_sequential", seq_ns / split_ns);
+          c.metric("speedup_vs_packed", packed_ns / split_ns);
+        }
       });
       h.add("fold_step/" + std::to_string(m) + "_mt", {1, 5}, [m](bench::Case& c) {
-        // Same per-epoch step with the engine's default concurrency
-        // (LRDQ_THREADS or hardware_concurrency): the two chains advance
-        // on worker threads. speedup_vs_single_thread compares against a
-        // thread-pinned engine running the identical split-mode
-        // arithmetic, so the metric isolates the parallel win.
+        // Same per-epoch step in split layout at the default thread
+        // count (LRDQ_THREADS or hardware_concurrency): the two chains
+        // advance on worker threads. speedup_vs_single_thread compares
+        // against a thread-pinned engine running the identical
+        // split-layout arithmetic, so it isolates the parallel win;
+        // speedup_vs_packed is the layout decision itself.
         auto solver = figure_solver();
         const auto wl = solver.increment_pmf_lower(m);
         const auto wh = solver.increment_pmf_upper(m);
-        queueing::DualFoldEngine engine(wl, wh, m);
-        std::vector<double> q_low(m + 1, 0.0), q_high(m + 1, 0.0);
-        q_low[0] = 1.0;
-        q_high[m] = 1.0;
-        queueing::StepHealth low_health, high_health;
         const std::size_t iters = std::max<std::size_t>(4, 16384 / m);
-        c.measure_ns_per_iter(iters, [&](std::size_t) {
-          engine.step(q_low, q_high, low_health, high_health);
-        });
+        FoldRun threaded(wl, wh, m, queueing::FoldConcurrency{0, 0});
+        c.measure_ns_per_iter(iters, [&](std::size_t) { threaded.step(); });
         const double mt_ns = obs::robust_stats(c.samples()).median;
-        queueing::DualFoldEngine pinned(wl, wh, m, queueing::FoldConcurrency{1, 1024});
-        std::vector<double> p_low(m + 1, 0.0), p_high(m + 1, 0.0);
-        p_low[0] = 1.0;
-        p_high[m] = 1.0;
-        const obs::SteadyTime t0 = obs::now();
-        for (std::size_t i = 0; i < iters; ++i)
-          pinned.step(p_low, p_high, low_health, high_health);
-        const double st_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-        c.metric("threads", static_cast<double>(engine.threads()));
+        const double st_ns = FoldRun(wl, wh, m, kPinnedSplit).median_ns(iters);
+        const double packed_ns = FoldRun(wl, wh, m, kPinnedPacked).median_ns(iters);
+        c.metric("threads", static_cast<double>(threaded.engine.threads()));
         c.metric("single_thread_ns", st_ns);
-        if (mt_ns > 0.0) c.metric("speedup_vs_single_thread", st_ns / mt_ns);
+        c.metric("packed_ns", packed_ns);
+        if (mt_ns > 0.0) {
+          c.metric("speedup_vs_single_thread", st_ns / mt_ns);
+          c.metric("speedup_vs_packed", packed_ns / mt_ns);
+        }
       });
     }
 

@@ -26,6 +26,28 @@ std::size_t conv_fft_size(std::size_t out_len) {
   return std::max<std::size_t>(2, next_pow2(out_len));
 }
 
+/// Period of a linear convolution of a `kernel_len` kernel with signals
+/// of up to `max_signal_len` samples (2 for the degenerate inputs the
+/// constructors reject).
+std::size_t linear_fft_size(std::size_t kernel_len, std::size_t max_signal_len) {
+  if (kernel_len == 0 || max_signal_len == 0) return 2;
+  return conv_fft_size(kernel_len + max_signal_len - 1);
+}
+
+/// Validates a convolver's shape and returns its period.
+std::size_t checked_period(std::size_t period, std::size_t kernel_len,
+                           std::size_t max_signal_len, const char* where) {
+  if (kernel_len == 0) throw std::invalid_argument(std::string(where) + ": empty kernel");
+  if (max_signal_len == 0)
+    throw std::invalid_argument(std::string(where) + ": max_signal_len == 0");
+  if (period < 2 || !is_pow2(period))
+    throw std::invalid_argument(std::string(where) + ": period must be a power of two >= 2");
+  if (kernel_len > period || max_signal_len > period)
+    throw std::invalid_argument(std::string(where) +
+                                ": kernel and signals must fit in one period");
+  return period;
+}
+
 /// z^e by binary exponentiation (exact repeated multiplication, no
 /// exp/log branch cuts).
 std::complex<double> pow_uint(std::complex<double> z, std::size_t e) {
@@ -110,16 +132,17 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n) {
   return out;
 }
 
-CachedKernelConvolver::CachedKernelConvolver(std::vector<double> kernel,
+CachedKernelConvolver::CachedKernelConvolver(const std::vector<double>& kernel,
                                              std::size_t max_signal_len)
+    : CachedKernelConvolver(kernel, max_signal_len,
+                            linear_fft_size(kernel.size(), max_signal_len)) {}
+
+CachedKernelConvolver::CachedKernelConvolver(const std::vector<double>& kernel,
+                                             std::size_t max_signal_len, std::size_t period)
     : kernel_len_(kernel.size()),
       max_signal_len_(max_signal_len),
-      n_(kernel.empty() || max_signal_len == 0
-             ? 2
-             : conv_fft_size(kernel.size() + max_signal_len - 1)),
+      n_(checked_period(period, kernel.size(), max_signal_len, "CachedKernelConvolver")),
       rfft_(n_) {
-  if (kernel.empty()) throw std::invalid_argument("CachedKernelConvolver: empty kernel");
-  if (max_signal_len == 0) throw std::invalid_argument("CachedKernelConvolver: max_signal_len == 0");
   require_finite(kernel, "CachedKernelConvolver");
   kernel_mass_ = neumaier_sum(kernel);
   kernel_spectrum_.resize(rfft_.spectrum_size());
@@ -156,33 +179,33 @@ void CachedKernelConvolver::convolve_into(const double* signal, std::size_t len,
     kernels.cmul(ws.freq.data(), kernel_spectrum_.data(), bins);
   }
   rfft_.inverse(ws.freq.data(), ws.time.data());
-  const std::size_t out_len = len + kernel_len_ - 1;
-  std::copy(ws.time.begin(), ws.time.begin() + static_cast<std::ptrdiff_t>(out_len), out);
+  std::copy_n(ws.time.begin(), output_size(len), out);
 }
 
 std::vector<double> CachedKernelConvolver::convolve(const std::vector<double>& signal) const {
   if (signal.empty() || signal.size() > max_signal_len_)
     throw std::invalid_argument("CachedKernelConvolver::convolve: bad signal length");
   Workspace ws = make_workspace();
-  std::vector<double> out(signal.size() + kernel_len_ - 1);
+  std::vector<double> out(output_size(signal.size()));
   convolve_into(signal.data(), signal.size(), ws, out.data());
   return out;
 }
 
-DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
-                                         std::vector<double> kernel_b,
+DualKernelConvolver::DualKernelConvolver(const std::vector<double>& kernel_a,
+                                         const std::vector<double>& kernel_b,
                                          std::size_t max_signal_len)
+    : DualKernelConvolver(kernel_a, kernel_b, max_signal_len,
+                          linear_fft_size(kernel_a.size(), max_signal_len)) {}
+
+DualKernelConvolver::DualKernelConvolver(const std::vector<double>& kernel_a,
+                                         const std::vector<double>& kernel_b,
+                                         std::size_t max_signal_len, std::size_t period)
     : kernel_len_(kernel_a.size()),
       max_signal_len_(max_signal_len),
-      n_(kernel_a.empty() || max_signal_len == 0
-             ? 2
-             : conv_fft_size(kernel_a.size() + max_signal_len - 1)),
+      n_(checked_period(period, kernel_a.size(), max_signal_len, "DualKernelConvolver")),
       plan_(&fft_plan(n_)) {
-  if (kernel_a.empty() || kernel_b.empty())
-    throw std::invalid_argument("DualKernelConvolver: empty kernel");
   if (kernel_a.size() != kernel_b.size())
     throw std::invalid_argument("DualKernelConvolver: kernels must have equal length");
-  if (max_signal_len == 0) throw std::invalid_argument("DualKernelConvolver: max_signal_len == 0");
   require_finite(kernel_a, "DualKernelConvolver");
   require_finite(kernel_b, "DualKernelConvolver");
   mass_a_ = neumaier_sum(kernel_a);
@@ -237,7 +260,7 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
   }
   plan_->inverse(x);
   const double inv_n = 1.0 / static_cast<double>(n_);
-  const std::size_t out_len = len + kernel_len_ - 1;
+  const std::size_t out_len = output_size(len);
   for (std::size_t i = 0; i < out_len; ++i) {
     out_a[i] = x[i].real() * inv_n;
     out_b[i] = x[i].imag() * inv_n;

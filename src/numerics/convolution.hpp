@@ -1,7 +1,10 @@
 // Linear convolution of real sequences, direct and FFT-based, plus
 // cached-kernel convolvers for repeated convolutions against fixed
 // kernels (the inner loop of the queue-occupancy recursion, Eq. 19 of
-// the paper).
+// the paper). The cached convolvers run either linear (transform long
+// enough for the whole product) or circular on an explicit period,
+// where output index k carries the sum of every linear-product entry
+// congruent to k modulo the period.
 //
 // Workspace ownership: the hot entry points (`convolve_into`) never
 // allocate — the caller constructs a Workspace once (per level, per
@@ -12,6 +15,7 @@
 // `convolve_fft`) remain for cold callers and tests.
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
 #include <vector>
@@ -44,8 +48,15 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n);
 class CachedKernelConvolver {
  public:
   /// `kernel` is the fixed sequence; `max_signal_len` bounds the length of
-  /// the signals that will later be convolved against it.
-  CachedKernelConvolver(std::vector<double> kernel, std::size_t max_signal_len);
+  /// the signals that will later be convolved against it. Linear mode:
+  /// the period is the smallest power of two >= kernel + signal - 1.
+  CachedKernelConvolver(const std::vector<double>& kernel, std::size_t max_signal_len);
+
+  /// Circular mode on an explicit power-of-two `period` (>= 2). Both the
+  /// kernel and the signals must fit in one period; a longer kernel is
+  /// wrapped by the caller (`k[i % period] += kernel[i]`).
+  CachedKernelConvolver(const std::vector<double>& kernel, std::size_t max_signal_len,
+                        std::size_t period);
 
   /// Caller-owned scratch space for the zero-allocation path.
   struct Workspace {
@@ -57,11 +68,12 @@ class CachedKernelConvolver {
                      std::vector<double>(n_)};
   }
 
-  /// Linear convolution `signal[0..len) * kernel` written to
-  /// `out[0..len + kernel_size() - 1)`. Zero heap allocations below the
-  /// parallel-multiply threshold (32k spectrum bins, i.e. every solver
-  /// level); at or above it the spectrum product is chunked across the
-  /// executor, which allocates one job per call.
+  /// Convolution `signal[0..len) * kernel` written to
+  /// `out[0..output_size(len))`: the linear product when it fits in the
+  /// period, otherwise the product wrapped onto it. Zero heap
+  /// allocations below the parallel-multiply threshold (32k spectrum
+  /// bins, i.e. every solver level); at or above it the spectrum product
+  /// is chunked across the executor, which allocates one job per call.
   void convolve_into(const double* signal, std::size_t len, Workspace& ws, double* out) const;
 
   /// Allocating wrapper: `signal.size() <= max_signal_len`.
@@ -69,6 +81,10 @@ class CachedKernelConvolver {
 
   std::size_t kernel_size() const noexcept { return kernel_len_; }
   std::size_t fft_size() const noexcept { return n_; }
+  /// Samples convolve_into writes: min(len + kernel_size() - 1, fft_size()).
+  std::size_t output_size(std::size_t len) const noexcept {
+    return std::min(len + kernel_len_ - 1, n_);
+  }
 
   /// Total mass of the cached kernel. Convolution preserves mass, so the
   /// output of convolve() must sum to signal_mass * kernel_mass() up to
@@ -93,9 +109,15 @@ class CachedKernelConvolver {
 /// per-epoch cost of the solver's paired Q_L / Q_H chains.
 class DualKernelConvolver {
  public:
-  /// Kernels must be non-empty, finite, and the same length.
-  DualKernelConvolver(std::vector<double> kernel_a, std::vector<double> kernel_b,
+  /// Kernels must be non-empty, finite, and the same length. Linear
+  /// mode, as for CachedKernelConvolver.
+  DualKernelConvolver(const std::vector<double>& kernel_a, const std::vector<double>& kernel_b,
                       std::size_t max_signal_len);
+
+  /// Circular mode on an explicit power-of-two `period` (>= 2); kernels
+  /// and signals must fit in one period.
+  DualKernelConvolver(const std::vector<double>& kernel_a, const std::vector<double>& kernel_b,
+                      std::size_t max_signal_len, std::size_t period);
 
   struct Workspace {
     std::vector<std::complex<double>> freq;  ///< fft_size() bins
@@ -105,12 +127,16 @@ class DualKernelConvolver {
   }
 
   /// out_a = a * kernel_a and out_b = b * kernel_b, both of size
-  /// `len + kernel_size() - 1`, in one FFT round-trip. Zero allocations.
+  /// `output_size(len)`, in one FFT round-trip. Zero allocations.
   void convolve_into(const double* a, const double* b, std::size_t len, Workspace& ws,
                      double* out_a, double* out_b) const;
 
   std::size_t kernel_size() const noexcept { return kernel_len_; }
   std::size_t fft_size() const noexcept { return n_; }
+  /// Samples convolve_into writes per output: min(len + kernel_size() - 1, fft_size()).
+  std::size_t output_size(std::size_t len) const noexcept {
+    return std::min(len + kernel_len_ - 1, n_);
+  }
   double kernel_mass_a() const noexcept { return mass_a_; }
   double kernel_mass_b() const noexcept { return mass_b_; }
 

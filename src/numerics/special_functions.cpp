@@ -95,16 +95,6 @@ double upper_incomplete_gamma(double a, double x) {
   return regularized_gamma_q(a, x) * std::tgamma(a);
 }
 
-void CompensatedSum::add(double x) noexcept {
-  const double t = sum_ + x;
-  if (std::abs(sum_) >= std::abs(x)) {
-    comp_ += (sum_ - t) + x;
-  } else {
-    comp_ += (x - t) + sum_;
-  }
-  sum_ = t;
-}
-
 double neumaier_sum(const std::vector<double>& xs) noexcept {
   CompensatedSum acc;
   for (double x : xs) acc.add(x);

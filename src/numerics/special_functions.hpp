@@ -3,6 +3,7 @@
 // compensated summation, and log-space helpers.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -33,9 +34,18 @@ double upper_incomplete_gamma(double a, double x);
 double neumaier_sum(const std::vector<double>& xs) noexcept;
 
 /// Running compensated accumulator (Neumaier variant of Kahan summation).
+/// Inline: the solver's fold and mass checks call add() once per pmf entry.
 class CompensatedSum {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    const double t = sum_ + x;
+    if (std::abs(sum_) >= std::abs(x)) {
+      comp_ += (sum_ - t) + x;
+    } else {
+      comp_ += (x - t) + sum_;
+    }
+    sum_ = t;
+  }
   double value() const noexcept { return sum_ + comp_; }
 
  private:

@@ -9,6 +9,7 @@
 
 #include "core/failpoint.hpp"
 #include "numerics/convolution.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/parallel.hpp"
 #include "numerics/pmf.hpp"
 #include "numerics/special_functions.hpp"
@@ -41,6 +42,24 @@ double pmf_mean(const std::vector<double>& q, double step) {
   numerics::CompensatedSum acc;
   for (std::size_t j = 0; j < q.size(); ++j) acc.add(q[j] * static_cast<double>(j) * step);
   return acc.value();
+}
+
+/// Turns ccdf samples c[1..2M] (held in w[1..2M]) into the increment
+/// pmf w[0] = 1 - c[1], w[k] = c[k] - c[k + 1], w[2M] = c[2M], clamped
+/// at zero. Grid offsets are exact integers in a double, so this is
+/// bit-identical to evaluating both neighbours of every entry.
+void difference_ccdf(std::vector<double>& w) {
+  const std::size_t last = w.size() - 1;
+  w[0] = 1.0 - w[1];
+  for (std::size_t k = 1; k < last; ++k) w[k] -= w[k + 1];
+  for (double& p : w) p = std::max(p, 0.0);
+}
+
+/// Wraps a kernel onto a circle of length `period`: out[i % period] += w[i].
+std::vector<double> wrap_onto_period(const std::vector<double>& w, std::size_t period) {
+  std::vector<double> out(std::min(w.size(), period), 0.0);
+  for (std::size_t i = 0; i < w.size(); ++i) out[i % period] += w[i];
+  return out;
 }
 
 /// Clamp FFT round-off and renormalize to total mass one.
@@ -89,30 +108,52 @@ DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double
   if (bins == 0) throw std::invalid_argument("DualFoldEngine: bins must be >= 1");
   if (lower_pmf.size() != 2 * bins + 1 || upper_pmf.size() != 2 * bins + 1)
     throw std::invalid_argument("DualFoldEngine: increment pmfs must have 2 * bins + 1 entries");
+  weights_low_ = boundary_weights(lower_pmf, bins);
+  weights_high_ = boundary_weights(upper_pmf, bins);
+  const std::size_t period = numerics::next_pow2(2 * bins);
+  const std::vector<double> wrapped_low = wrap_onto_period(lower_pmf, period);
+  const std::vector<double> wrapped_high = wrap_onto_period(upper_pmf, period);
   if (split_) {
-    conv_low_.emplace(std::move(lower_pmf), bins + 1);
-    conv_high_.emplace(std::move(upper_pmf), bins + 1);
+    conv_low_.emplace(wrapped_low, bins + 1, period);
+    conv_high_.emplace(wrapped_high, bins + 1, period);
     ws_low_ = conv_low_->make_workspace();
     ws_high_ = conv_high_->make_workspace();
-    u_low_.resize(conv_low_->kernel_size() + bins);  // (2M+1) + (M+1) - 1 = 3M + 1
-    u_high_.resize(conv_high_->kernel_size() + bins);
   } else {
-    dual_.emplace(std::move(lower_pmf), std::move(upper_pmf), bins + 1);
+    dual_.emplace(wrapped_low, wrapped_high, bins + 1, period);
     dual_ws_ = dual_->make_workspace();
-    u_low_.resize(dual_->kernel_size() + bins);
-    u_high_.resize(dual_->kernel_size() + bins);
   }
+  u_low_.resize(period);
+  u_high_.resize(period);
   next_low_.resize(bins + 1);
   next_high_.resize(bins + 1);
 }
 
-void DualFoldEngine::fold(const std::vector<double>& u, std::vector<double>& next) const {
-  // Eq. 20: entry k of u corresponds to occupancy (k - M) d; everything
-  // at or below 0 folds into the empty-buffer atom, everything at or
-  // above B into the full-buffer atom.
+DualFoldEngine::BoundaryWeights DualFoldEngine::boundary_weights(const std::vector<double>& w,
+                                                                 std::size_t bins) {
+  // Entry i of w is the increment (i - M) d, so from grid point j the
+  // chain lands at or below 0 for i <= M - j and at or above B = M d
+  // for i >= 2M - j: running compensated cdf / ccdf sums of w.
+  BoundaryWeights out{std::vector<double>(bins + 1), std::vector<double>(bins + 1)};
+  numerics::CompensatedSum cdf, ccdf;
+  for (std::size_t i = 0; i <= bins; ++i) {
+    cdf.add(w[i]);
+    out.to_zero[bins - i] = cdf.value();
+    ccdf.add(w[2 * bins - i]);
+    out.to_full[i] = ccdf.value();
+  }
+  return out;
+}
+
+void DualFoldEngine::fold(const std::vector<double>& q, const std::vector<double>& u,
+                          const BoundaryWeights& weights, std::vector<double>& next) const {
+  // Eq. 20: entry M + j of the product is occupancy j d; the interior
+  // entries are exact in the period-n product, and the mass at or
+  // beyond either boundary comes straight from the input pmf.
   numerics::CompensatedSum at_zero, at_buffer;
-  for (std::size_t k = 0; k <= bins_; ++k) at_zero.add(u[k]);              // values <= 0
-  for (std::size_t k = 2 * bins_; k < u.size(); ++k) at_buffer.add(u[k]);  // values >= B
+  for (std::size_t j = 0; j <= bins_; ++j) {
+    at_zero.add(q[j] * weights.to_zero[j]);
+    at_buffer.add(q[j] * weights.to_full[j]);
+  }
   for (std::size_t j = 1; j < bins_; ++j) next[j] = u[bins_ + j];
   next[0] = at_zero.value();
   next[bins_] = at_buffer.value();
@@ -131,12 +172,12 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
     auto chain = [&](std::size_t c) {
       if (c == 0) {
         conv_low_->convolve_into(q_low.data(), bins_ + 1, ws_low_, u_low_.data());
-        fold(u_low_, next_low_);
+        fold(q_low, u_low_, weights_low_, next_low_);
         low_health.merge(numerics::inspect_mass(next_low_));
         sanitize(next_low_);
       } else {
         conv_high_->convolve_into(q_high.data(), bins_ + 1, ws_high_, u_high_.data());
-        fold(u_high_, next_high_);
+        fold(q_high, u_high_, weights_high_, next_high_);
         high_health.merge(numerics::inspect_mass(next_high_));
         sanitize(next_high_);
       }
@@ -150,8 +191,8 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
   } else {
     dual_->convolve_into(q_low.data(), q_high.data(), bins_ + 1, dual_ws_, u_low_.data(),
                          u_high_.data());
-    fold(u_low_, next_low_);
-    fold(u_high_, next_high_);
+    fold(q_low, u_low_, weights_low_, next_low_);
+    fold(q_high, u_high_, weights_high_, next_high_);
     low_health.merge(numerics::inspect_mass(next_low_));
     high_health.merge(numerics::inspect_mass(next_high_));
     sanitize(next_low_);
@@ -270,15 +311,13 @@ std::vector<double> FluidQueueSolver::increment_pmf_lower(std::size_t bins) cons
   const numerics::Grid grid(buffer_, bins);
   const double d = grid.step();
   const auto m = static_cast<double>(bins);
-  std::vector<double> w(2 * bins + 1);
   // Eq. 21: i = -M lumps everything below (-M+1)d; i = M lumps [Md, inf).
-  w[0] = 1.0 - increment_ccdf_closed((-m + 1.0) * d);
-  for (std::size_t k = 1; k < 2 * bins; ++k) {
-    const double i = static_cast<double>(k) - m;
-    w[k] = increment_ccdf_closed(i * d) - increment_ccdf_closed((i + 1.0) * d);
-  }
-  w[2 * bins] = increment_ccdf_closed(m * d);
-  for (double& p : w) p = std::max(p, 0.0);
+  // w[k] first holds Pr{W >= (k - M) d} for k = 1..2M, each grid point
+  // evaluated once; differencing neighbours then yields the pmf.
+  std::vector<double> w(2 * bins + 1);
+  for (std::size_t k = 1; k <= 2 * bins; ++k)
+    w[k] = increment_ccdf_closed((static_cast<double>(k) - m) * d);
+  difference_ccdf(w);
   return w;
 }
 
@@ -287,15 +326,12 @@ std::vector<double> FluidQueueSolver::increment_pmf_upper(std::size_t bins) cons
   const numerics::Grid grid(buffer_, bins);
   const double d = grid.step();
   const auto m = static_cast<double>(bins);
-  std::vector<double> w(2 * bins + 1);
   // Eq. 22: i = -M lumps (-inf, -Md]; i = M lumps ((M-1)d, inf).
-  w[0] = 1.0 - increment_ccdf_open(-m * d);
-  for (std::size_t k = 1; k < 2 * bins; ++k) {
-    const double i = static_cast<double>(k) - m;
-    w[k] = increment_ccdf_open((i - 1.0) * d) - increment_ccdf_open(i * d);
-  }
-  w[2 * bins] = increment_ccdf_open((m - 1.0) * d);
-  for (double& p : w) p = std::max(p, 0.0);
+  // w[k] first holds Pr{W > (k - 1 - M) d} for k = 1..2M.
+  std::vector<double> w(2 * bins + 1);
+  for (std::size_t k = 1; k <= 2 * bins; ++k)
+    w[k] = increment_ccdf_open((static_cast<double>(k) - 1.0 - m) * d);
+  difference_ccdf(w);
   return w;
 }
 

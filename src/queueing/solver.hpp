@@ -61,13 +61,29 @@ struct FoldConcurrency {
   /// Levels with bins >= this run the chains as two independent real
   /// convolutions (parallelizable); below it the packed dual transform
   /// wins (one FFT round-trip, zero scheduling overhead). 0 forces
-  /// split mode at every size (tests).
-  std::size_t min_bins_for_mt = 1024;
+  /// split mode at every size (tests). Set from `micro_solver --filter
+  /// fold_step` on the period-2M transforms (4 vCPUs, LRDQ_THREADS=4,
+  /// 14 runs; fold_step/*_mt records, metric speedup_vs_packed): the
+  /// threaded split step beat the packed one in 0 of 14 runs at 512
+  /// bins, 5 of 14 at 1024 (median 0.93x) and 14 of 14 at 2048
+  /// (1.02-1.76x).
+  std::size_t min_bins_for_mt = 2048;
 };
 
 /// The solver's per-epoch hot loop: advances the paired Q_L / Q_H
 /// occupancy chains one epoch (Eq. 19-20), then folds the spilled mass
 /// onto the boundary atoms and renormalizes.
+///
+/// The fold reads the linear product q * w (3M + 1 entries) only at its
+/// interior entries M+1..2M-1; everything else it needs as two sums.
+/// So each epoch convolves on a circle of period n = next_pow2(2M)
+/// (half the linear transform): for k in [M+1, 2M-1], k + n > 3M and
+/// k - n < 0, so the interior entries carry no aliased terms. The two
+/// boundary atoms are O(M) dot products of the input pmf with weights
+/// built once per level from the increment pmf (the cdf / ccdf of the
+/// increment as seen from each grid point), compensated like every
+/// other mass sum here. The folded pmf still sums to sum(q) * sum(w),
+/// so a mass-leaking kernel still trips the mass guard.
 ///
 /// Two data layouts, chosen at construction by bin count alone (see
 /// FoldConcurrency): small levels batch both chains into a single
@@ -93,6 +109,8 @@ class DualFoldEngine {
   bool split_mode() const noexcept { return split_; }
   /// Resolved worker count (concurrency.threads, env/hardware for 0).
   std::size_t threads() const noexcept { return threads_; }
+  /// Circular-convolution period next_pow2(2 * bins).
+  std::size_t period() const noexcept { return u_low_.size(); }
 
   /// One epoch for both chains. `q_low` / `q_high` must have bins() + 1
   /// entries; they are replaced by the folded, sanitized next-state pmfs.
@@ -101,18 +119,26 @@ class DualFoldEngine {
             StepHealth& high_health);
 
  private:
-  void fold(const std::vector<double>& u, std::vector<double>& next) const;
+  /// Eq. 20 boundary weights of one increment pmf, per input grid point
+  /// j: to_zero[j] = Pr{j d + W <= 0}, to_full[j] = Pr{j d + W >= B}.
+  struct BoundaryWeights {
+    std::vector<double> to_zero, to_full;  // M + 1 each
+  };
+  static BoundaryWeights boundary_weights(const std::vector<double>& w, std::size_t bins);
+  void fold(const std::vector<double>& q, const std::vector<double>& u,
+            const BoundaryWeights& weights, std::vector<double>& next) const;
 
   std::size_t bins_;
   std::size_t threads_;
   bool split_;
+  BoundaryWeights weights_low_, weights_high_;
   // Packed layout (bins < min_bins_for_mt): one complex round-trip.
   std::optional<numerics::DualKernelConvolver> dual_;
   numerics::DualKernelConvolver::Workspace dual_ws_;
   // Split layout: one real convolver + workspace per chain.
   std::optional<numerics::CachedKernelConvolver> conv_low_, conv_high_;
   numerics::CachedKernelConvolver::Workspace ws_low_, ws_high_;
-  std::vector<double> u_low_, u_high_;      // convolution outputs, 3M + 1
+  std::vector<double> u_low_, u_high_;        // circular convolution outputs, one period
   std::vector<double> next_low_, next_high_;  // folded pmfs, M + 1
 };
 

@@ -27,13 +27,14 @@
 // are thread-safe.
 //
 // Eviction: `SolverCacheConfig::capacity_cost` is one global budget for
-// the memory tier. Every entry carries a cost (callers pass the solve's
-// wall seconds, or the default 1.0 so capacity counts entries); when the
-// resident cost exceeds the budget the least-recently-used entries are
-// evicted first (`CacheStats::evictions`, `lrd_cache_evictions_total`).
-// Evicted entries are *not* lost on a persistent cache: the disk tier is
-// a true second level, consulted on a memory miss and promoted back on a
-// hit (`CacheStats::disk_hits`). capacity_cost = 0 keeps the historical
+// the memory tier. Every entry carries a cost (the default 1.0, which
+// sweeps, serve queries and disk loads all use, so capacity counts
+// entries); when the resident cost exceeds the budget the
+// least-recently-used entries are evicted first
+// (`CacheStats::evictions`, `lrd_cache_evictions_total`). Evicted
+// entries are *not* lost on a persistent cache: the disk tier is a true
+// second level, consulted on a memory miss and promoted back on a hit
+// (`CacheStats::disk_hits`). capacity_cost = 0 keeps the historical
 // never-evicted behaviour.
 //
 // Tiers: the in-memory map always; optionally a persistent
@@ -184,8 +185,9 @@ class SolverCache {
 
   /// Inserts (last write wins) and appends to the disk tier when present.
   /// `cost` is the entry's weight against `capacity_cost` (clamped to a
-  /// small positive minimum) — pass the solve's wall seconds so eviction
-  /// preferentially keeps expensive-to-recompute results resident longer.
+  /// small positive minimum). Disk loads and promotions weigh 1.0, so a
+  /// caller mixing other costs in makes the budget mean neither entries
+  /// nor seconds.
   void store(std::uint64_t key, double value, double cost = 1.0);
 
   /// Atomically rewrites the disk tier with one clean v2 record per live

@@ -198,14 +198,13 @@ Response QueryService::solve_query(const Query& q,
           return a;
         }
       }
-      const Clock::time_point t0 = Clock::now();
       a.result = model.solve(cell_scfg);
       a.estimate = a.result.loss_estimate();
       // Only converged results enter the cache (a wide bracket is not the
-      // cell's answer); the cost is the solve's wall seconds so eviction
-      // keeps expensive-to-recompute cells resident longer.
+      // cell's answer). Stored at the default cost of one, like sweep
+      // cells and disk loads, so --cache-capacity counts entries.
       if (a.result.converged && q.use_cache && cache_ != nullptr)
-        cache_->store(a.key, a.estimate, elapsed_ms(t0) / 1e3);
+        cache_->store(a.key, a.estimate);
       return a;
     };
 

@@ -383,6 +383,67 @@ TEST(DualKernelConvolver, RejectsBadConfigurations) {
                std::invalid_argument);
 }
 
+// Direct linear product of `signal` and `kernel`, summed modulo `period`,
+// truncated to the samples a circular convolver writes.
+std::vector<double> direct_mod_period(const std::vector<double>& signal,
+                                      const std::vector<double>& kernel, std::size_t period) {
+  const auto u = convolve_direct(signal, kernel);
+  std::vector<double> out(std::min(u.size(), period), 0.0);
+  for (std::size_t k = 0; k < u.size(); ++k) out[k % period] += u[k];
+  return out;
+}
+
+TEST(CachedKernelConvolver, ExplicitPeriodMatchesDirectSumModuloPeriod) {
+  Rng rng(43);
+  // (kernel, signal, period): wrapped product, exact fit, and a period
+  // long enough that nothing wraps.
+  const std::size_t shapes[][3] = {{16, 9, 16}, {8, 8, 8}, {5, 3, 16}, {2, 2, 2}};
+  for (const auto& shape : shapes) {
+    std::vector<double> kernel(shape[0]), signal(shape[1]);
+    for (auto& v : kernel) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : signal) v = rng.uniform(-1.0, 1.0);
+    const CachedKernelConvolver conv(kernel, signal.size(), shape[2]);
+    EXPECT_EQ(conv.fft_size(), shape[2]);
+    const auto ref = direct_mod_period(signal, kernel, shape[2]);
+    ASSERT_EQ(conv.output_size(signal.size()), ref.size());
+    const auto got = conv.convolve(signal);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      EXPECT_NEAR(got[i], ref[i], 1e-12) << "period " << shape[2] << " index " << i;
+  }
+}
+
+TEST(DualKernelConvolver, ExplicitPeriodMatchesDirectSumModuloPeriod) {
+  Rng rng(47);
+  const std::size_t shapes[][3] = {{16, 9, 16}, {8, 8, 8}, {5, 3, 16}, {2, 2, 2}};
+  for (const auto& shape : shapes) {
+    std::vector<double> ka(shape[0]), kb(shape[0]), a(shape[1]), b(shape[1]);
+    for (auto* v : {&ka, &kb, &a, &b})
+      for (double& x : *v) x = rng.uniform(-1.0, 1.0);
+    const DualKernelConvolver dual(ka, kb, a.size(), shape[2]);
+    const auto ref_a = direct_mod_period(a, ka, shape[2]);
+    const auto ref_b = direct_mod_period(b, kb, shape[2]);
+    ASSERT_EQ(dual.output_size(a.size()), ref_a.size());
+    auto ws = dual.make_workspace();
+    std::vector<double> out_a(ref_a.size()), out_b(ref_b.size());
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
+    for (std::size_t i = 0; i < ref_a.size(); ++i) {
+      EXPECT_NEAR(out_a[i], ref_a[i], 1e-12) << "period " << shape[2] << " a " << i;
+      EXPECT_NEAR(out_b[i], ref_b[i], 1e-12) << "period " << shape[2] << " b " << i;
+    }
+  }
+}
+
+TEST(CachedKernelConvolver, ExplicitPeriodRejectsShapesThatDoNotFit) {
+  const std::vector<double> k4(4, 0.25);
+  EXPECT_THROW(CachedKernelConvolver(k4, 4, 12), std::invalid_argument);  // not a power of two
+  EXPECT_THROW(CachedKernelConvolver({1.0}, 1, 1), std::invalid_argument);
+  EXPECT_THROW(CachedKernelConvolver(k4, 4, 2), std::invalid_argument);   // kernel too long
+  EXPECT_THROW(CachedKernelConvolver(k4, 5, 4), std::invalid_argument);   // signal too long
+  EXPECT_THROW(DualKernelConvolver(k4, k4, 4, 12), std::invalid_argument);
+  EXPECT_THROW(DualKernelConvolver(k4, k4, 8, 4), std::invalid_argument);
+}
+
 TEST(Convolution, SelfConvolveSpectrumMatchesIterative) {
   // Straddles the small-output direct fallback (out_len <= 64): n = 6
   // stays direct, n = 40 takes the spectrum-powering path.

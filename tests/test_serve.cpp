@@ -235,6 +235,33 @@ TEST(ServeService, CacheBypassSolvesFreshAndStoresNothing) {
   EXPECT_EQ(cache.stats().stores, 0u);
 }
 
+TEST(ServeService, CacheCapacityCountsEntriesAcrossARestart) {
+  // --cache-capacity bounds resident entries: served solves weigh one
+  // entry each, like the disk loads of a restarted daemon.
+  const std::string dir = ::testing::TempDir() + "lrd_serve_capacity";
+  std::filesystem::remove_all(dir);
+  runtime::SolverCacheConfig cfg;
+  cfg.disk_dir = dir;
+  cfg.capacity_cost = 2.0;
+  {
+    runtime::SolverCache cache(cfg);
+    const serve::QueryService service(&cache);
+    for (const double buffer : {0.1, 0.15, 0.2, 0.25, 0.3, 0.35}) {
+      serve::Query q = small_cell_query();
+      q.normalized_buffer = buffer;
+      const serve::Response r = service.execute(q);
+      ASSERT_EQ(r.status, serve::QueryStatus::kOk) << r.diagnostic;
+      ASSERT_FALSE(r.cache_hit);
+    }
+    EXPECT_EQ(cache.stats().stores, 6u);
+    EXPECT_LE(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().evictions, 4u);
+  }
+  runtime::SolverCache restarted(cfg);
+  EXPECT_EQ(restarted.stats().loaded, 6u);
+  EXPECT_LE(restarted.size(), 2u);
+}
+
 TEST(ServeService, DeadlineBoundsTheSolveWithAValidWideBracket) {
   const serve::QueryService service(nullptr);
   serve::Query q = small_cell_query();

@@ -10,8 +10,11 @@
 #include <new>
 #include <numeric>
 
+#include "core/traces.hpp"
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
+#include "numerics/convolution.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/special_functions.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
@@ -59,6 +62,13 @@ using queueing::SolverConfig;
 
 std::shared_ptr<const dist::TruncatedPareto> pareto(double theta, double alpha, double tc) {
   return std::make_shared<const dist::TruncatedPareto>(theta, alpha, tc);
+}
+
+/// Occupancy pmf over M + 1 grid points with all mass at `index`.
+std::vector<double> dirac_at(std::size_t bins, std::size_t index) {
+  std::vector<double> q(bins + 1, 0.0);
+  q[index] = 1.0;
+  return q;
 }
 
 TEST(Solver, ConstructionValidation) {
@@ -445,6 +455,119 @@ TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
   for (std::size_t j = 0; j <= bins; ++j) {
     EXPECT_NEAR(q_low[j], ref_low[j], 1e-10) << "low bin " << j;
     EXPECT_NEAR(q_high[j], ref_high[j], 1e-10) << "high bin " << j;
+  }
+}
+
+// O(M^2) reference epoch for one chain: the full linear product by direct
+// summation, the Eq. 20 fold of everything at or beyond either
+// boundary, then clamp + renormalize — no FFT and no circular wrap.
+std::vector<double> direct_fold_step(const std::vector<double>& q, const std::vector<double>& w,
+                                     std::size_t bins) {
+  const auto u = numerics::convolve_direct(q, w);
+  std::vector<double> next(bins + 1, 0.0);
+  for (std::size_t k = 0; k < u.size(); ++k)
+    next[k <= bins ? 0 : std::min(k - bins, bins)] += u[k];
+  double total = 0.0;
+  for (double& p : next) {
+    if (p < 0.0) p = 0.0;
+    total += p;
+  }
+  for (double& p : next) p /= total;
+  return next;
+}
+
+TEST(SolverFoldEngine, HalfLengthFoldMatchesDirectReference) {
+  // The period-next_pow2(2M) fold must give the same folded pmfs as the
+  // linear product, in both layouts, at power-of-two M (kernel wrapped
+  // onto exactly 2M), at M that are not (Fig. 2's 100), and at the
+  // degenerate M = 1 with an empty interior.
+  Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
+  FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
+  for (const std::size_t bins : {1u, 2u, 3u, 100u, 128u, 1024u}) {
+    const auto wl = s.increment_pmf_lower(bins);
+    const auto wh = s.increment_pmf_upper(bins);
+    std::vector<double> ramp(bins + 1);
+    for (std::size_t j = 0; j <= bins; ++j) ramp[j] = static_cast<double>(j + 1);
+    for (double& p : ramp) p /= static_cast<double>((bins + 1) * (bins + 2) / 2);
+    const std::vector<std::vector<double>> inputs = {dirac_at(bins, 0), dirac_at(bins, bins),
+                                                     ramp};
+    for (const std::size_t min_bins_for_mt : {std::size_t{0}, static_cast<std::size_t>(-1)}) {
+      queueing::DualFoldEngine engine(wl, wh, bins, queueing::FoldConcurrency{1, min_bins_for_mt});
+      ASSERT_EQ(engine.split_mode(), min_bins_for_mt == 0);
+      EXPECT_EQ(engine.period(), numerics::next_pow2(2 * bins)) << "bins " << bins;
+      for (const auto& low_in : inputs) {
+        for (const auto& high_in : inputs) {
+          std::vector<double> q_low = low_in, q_high = high_in;
+          queueing::StepHealth low_health, high_health;
+          engine.step(q_low, q_high, low_health, high_health);
+          EXPECT_LT(low_health.mass_dev, 1e-12);
+          EXPECT_LT(high_health.mass_dev, 1e-12);
+          const auto ref_low = direct_fold_step(low_in, wl, bins);
+          const auto ref_high = direct_fold_step(high_in, wh, bins);
+          for (std::size_t j = 0; j <= bins; ++j) {
+            ASSERT_NEAR(q_low[j], ref_low[j], 1e-12)
+                << "bins " << bins << " split " << engine.split_mode() << " low bin " << j;
+            ASSERT_NEAR(q_high[j], ref_high[j], 1e-12)
+                << "bins " << bins << " split " << engine.split_mode() << " high bin " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Pr{W >= w} / Pr{W > w} of the per-epoch increment, written out from
+// the solver's public parts exactly as the solver sums them.
+double increment_ccdf(const FluidQueueSolver& s, double w, bool closed) {
+  const auto& rates = s.marginal().rates();
+  const auto& probs = s.marginal().probs();
+  double out = 0.0;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double dr = rates[i] - s.service_rate();
+    if (dr > 0.0) {
+      out += probs[i] * (closed ? s.epochs().ccdf_closed(w / dr) : s.epochs().ccdf_open(w / dr));
+    } else if (dr < 0.0) {
+      out += probs[i] *
+             (1.0 - (closed ? s.epochs().ccdf_open(w / dr) : s.epochs().ccdf_closed(w / dr)));
+    } else if (closed ? w <= 0.0 : w < 0.0) {
+      out += probs[i];
+    }
+  }
+  return out;
+}
+
+TEST(Solver, IncrementPmfsMatchTheTwoEvaluationFormulaBitForBit) {
+  // Eq. 21 / 22 with both neighbours of every entry evaluated: the
+  // one-evaluation-per-grid-point pmfs must agree to the last bit.
+  for (const auto& model : {core::mtv_model(), core::bellcore_model()}) {
+    const double c = model.marginal.service_rate_for_utilization(model.utilization);
+    const double alpha = dist::TruncatedPareto::alpha_from_hurst(model.hurst);
+    const FluidQueueSolver s(
+        model.marginal,
+        pareto(dist::TruncatedPareto::theta_from_mean_epoch(model.mean_epoch, alpha), alpha, 10.0),
+        c, 0.5 * c);
+    for (const std::size_t bins : {1u, 7u, 128u}) {
+      const double d = s.buffer() / static_cast<double>(bins);
+      const auto m = static_cast<double>(bins);
+      std::vector<double> lower(2 * bins + 1), upper(2 * bins + 1);
+      lower[0] = 1.0 - increment_ccdf(s, (-m + 1.0) * d, true);
+      upper[0] = 1.0 - increment_ccdf(s, -m * d, false);
+      for (std::size_t k = 1; k < 2 * bins; ++k) {
+        const double i = static_cast<double>(k) - m;
+        lower[k] = increment_ccdf(s, i * d, true) - increment_ccdf(s, (i + 1.0) * d, true);
+        upper[k] = increment_ccdf(s, (i - 1.0) * d, false) - increment_ccdf(s, i * d, false);
+      }
+      lower[2 * bins] = increment_ccdf(s, m * d, true);
+      upper[2 * bins] = increment_ccdf(s, (m - 1.0) * d, false);
+      for (double& p : lower) p = std::max(p, 0.0);
+      for (double& p : upper) p = std::max(p, 0.0);
+      const auto got_lower = s.increment_pmf_lower(bins);
+      const auto got_upper = s.increment_pmf_upper(bins);
+      for (std::size_t k = 0; k <= 2 * bins; ++k) {
+        EXPECT_EQ(got_lower[k], lower[k]) << model.name << " bins " << bins << " k " << k;
+        EXPECT_EQ(got_upper[k], upper[k]) << model.name << " bins " << bins << " k " << k;
+      }
+    }
   }
 }
 
